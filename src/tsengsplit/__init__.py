@@ -13,7 +13,6 @@ from .linalg import (
     NonFiniteError,
     RngStream,
     Vector,
-    axpby,
     inner,
     norm,
     spectral_norm_estimate,

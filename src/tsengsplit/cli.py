@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import RngStream
+from .linalg import RngStream, norm
 from .problems import gen_affine_vi, gen_l2_vi, gen_lasso, gen_oracle_strong, oracle_orthant_vi
 from .schedules import (
     ScheduleSet,
@@ -269,11 +269,11 @@ def cmd_solve(args) -> int:
             "seed": cfg.seed,
             "problem": problem.label,
             "schedules": cfg.schedules.label or cfg.schedules.to_dict(),
-            "solution_norm": float(np.linalg.norm(x)),
+            "solution_norm": norm(x, problem.weights),
         }
     )
     if problem.known_solution is not None:
-        summary["dist_to_solution"] = float(np.linalg.norm(x - problem.known_solution))
+        summary["dist_to_solution"] = norm(x - problem.known_solution, problem.weights)
     if trace.tie_break_fraction() > 0.01:
         summary["tie_break_warning"] = (
             "degenerate step-update branch hit on more than 1% of iterations"
@@ -294,7 +294,7 @@ def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
 
 def cmd_sweep(args) -> int:
     cfg = _apply_cli_overrides(load_config(args.config), args)
-    _require_cli(cfg.sweep_axes, "config has no sweep axes")
+    _require(bool(cfg.sweep_axes), "config has no sweep axes")
     out = _out_dir(args.out)
     problem = build_problem(cfg)  # one instance shared by every grid point
 
@@ -386,11 +386,6 @@ def cmd_certify(args) -> int:
         return EXIT_CONFIG
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-def _require_cli(cond, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ this to approximate integrals on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +57,19 @@ def inner(a: Vector, b: Vector, weights: Vector | None = None) -> float:
 
 
 def norm(a: Vector, weights: Vector | None = None) -> float:
-    """Norm induced by :func:`inner`; nonnegative, zero only for the zero vector."""
+    """Norm induced by :func:`inner`; nonnegative, zero only for the zero vector.
+
+    The unweighted branch is ``sqrt(a.dot(a))``, which is exactly what
+    ``numpy.linalg.norm`` computes for a 1-D float64 array, without its
+    per-call dispatch.
+    """
     if weights is None:
-        out = float(np.linalg.norm(a))
+        out = math.sqrt(a.dot(a))
     else:
         _check_same_dim(a, weights)
         out = float(np.sqrt(np.dot(a * a, weights)))
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise NonFiniteError("norm is not finite")
-    return out
-
-
-def axpby(alpha: float, a: Vector, beta: float, b: Vector) -> Vector:
-    """Coordinatewise combination ``alpha*a + beta*b``."""
-    _check_same_dim(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = alpha * a + beta * b
-    if not np.isfinite(out).all():
-        raise NonFiniteError("axpby produced non-finite entries")
     return out
 
 

@@ -14,8 +14,8 @@ and certificates only; the solver itself never needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,20 +29,50 @@ from .linalg import (
 )
 
 
+class _Metadata:
+    """A metadata field of :class:`ForwardOperator` that may be estimated lazily.
+
+    A value given at construction is returned as is.  Left ``None``, the
+    field is computed on first read by the operator's ``estimators`` entry
+    of the same name, if any, and cached; without one it stays ``None``.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return None  # the dataclass default
+        values = op.__dict__
+        if self.name not in values:
+            estimate = op.estimators.get(self.name)
+            values[self.name] = None if estimate is None else estimate()
+        return values[self.name]
+
+    def __set__(self, op, value):
+        # runs once, from the dataclass __init__; the frozen __setattr__
+        # rejects later assignments before they get here
+        if value is not None:
+            op.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ForwardOperator:
     """Single-valued map with optional regularity metadata.
 
     ``lipschitz`` and ``strong_monotone_modulus`` are declarations about
     the map (estimated or exact per ``metadata_exact``); leaving them
-    ``None`` means "unknown", never "zero".
+    ``None`` means "unknown", never "zero".  ``estimators`` maps either
+    field name to a callable that computes it on first read, so costly
+    estimates are only paid for by the validators that ask for them.
     """
 
     fn: Callable[[Vector], Vector]
-    lipschitz: float | None = None
-    strong_monotone_modulus: float | None = None
+    lipschitz: float | None = _Metadata()
+    strong_monotone_modulus: float | None = _Metadata()
     label: str = ""
     metadata_exact: bool = False
+    estimators: Mapping[str, Callable[[], float]] = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x: Vector) -> Vector:
         return self.fn(x)
@@ -74,7 +104,8 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
 
     The Lipschitz field is a spectral-norm estimate of ``M`` (100 power
     iterations); the strong-monotonicity modulus is the clipped smallest
-    eigenvalue of the symmetric part.  Both are flagged as estimates.
+    eigenvalue of the symmetric part.  Both are flagged as estimates and
+    computed on first read.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -82,29 +113,32 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
         raise DimensionMismatchError(f"M must be square, got shape {m_mat.shape}")
     if q.shape != (m_mat.shape[0],):
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({m_mat.shape[0]},)")
-    lip = spectral_norm_estimate(m_mat, steps=100)
-    sym_min = float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])
     return ForwardOperator(
         fn=lambda x: m_mat @ x + q,
-        lipschitz=lip,
-        strong_monotone_modulus=max(0.0, sym_min),
         label="affine",
+        estimators={
+            "lipschitz": lambda: spectral_norm_estimate(m_mat, steps=100),
+            "strong_monotone_modulus": lambda: max(0.0, float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])),
+        },
     )
 
 
 def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
-    """Gradient ``x -> A^T (A x - y)`` of the least-squares loss ``0.5*||Ax - y||^2``."""
+    """Gradient ``x -> A^T (A x - y)`` of the least-squares loss ``0.5*||Ax - y||^2``.
+
+    The Lipschitz field, the squared spectral-norm estimate of ``A`` (100
+    power iterations), is computed on first read.
+    """
     a_mat = np.asarray(a_mat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if a_mat.ndim != 2:
         raise DimensionMismatchError("A must be a matrix")
     if y.shape != (a_mat.shape[0],):
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({a_mat.shape[0]},)")
-    lip = spectral_norm_estimate(a_mat, steps=100) ** 2
     return ForwardOperator(
         fn=lambda x: a_mat.T @ (a_mat @ x - y),
-        lipschitz=lip,
         label="least_squares_gradient",
+        estimators={"lipschitz": lambda: spectral_norm_estimate(a_mat, steps=100) ** 2},
     )
 
 

@@ -194,10 +194,6 @@ class ScheduleSet:
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
-    def p_total(self, n_iters: int) -> float:
-        """Partial sum of the step-growth increments over a run of n_iters."""
-        return self.p_seq.partial_sum(n_iters)
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha.to_dict(),

@@ -14,9 +14,14 @@ One iteration, from the pair ``(x_prev, x_curr)`` and the current step
   so no Lipschitz constant is ever required:
   ``lam_next = min((mu + mu_n)*ratio, lam + p_n)``.
 
-Each non-terminal iteration costs exactly two forward evaluations and one
-resolvent evaluation.  A run is strictly sequential; concurrent runs may
-share problems and schedules because those are immutable.
+Each non-terminal iteration costs exactly two forward evaluations, one
+resolvent evaluation and six vector norms: ``||w - y||`` (the residual,
+also the step-ratio numerator), ``||w||``, ``||A(w) - A(y)||``,
+``||A(w)||``, the stop metric and the distance to a known solution (five
+without ``record_distance``, one fewer under the ``residual`` stop rule,
+which reuses the residual).  :func:`solve` and :func:`tseng_step` run the
+same kernel.  A run is strictly sequential; concurrent runs may share
+problems and schedules because those are immutable.
 
 The module also provides empirical convergence-rate certificates checked
 against a recorded :class:`SolverTrace`: a ``1/sqrt(n)`` envelope on the
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,7 +170,7 @@ class IterationState:
             raise ValueError("step size must stay positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     n: int
     lambda_n: float
@@ -230,6 +235,41 @@ def extrapolate(x_curr: Vector, x_prev: Vector, factor: float) -> Vector:
     return x_curr + factor * (x_curr - x_prev)
 
 
+def _all_finite(v: Vector, zeros: Vector) -> bool:
+    """Whether every entry of ``v`` is finite, as one dot product.
+
+    ``v_i*0`` is a signed zero for finite ``v_i`` and NaN for an infinity or
+    a NaN, and no sum of zeros overflows, so ``v . 0`` is NaN exactly when
+    some entry is not finite.  Same answer as ``np.isfinite(v).all()`` at
+    a fraction of its cost on short vectors.
+    """
+    return not math.isnan(v.dot(zeros))
+
+
+def _step_rule(
+    lambda_n: float, mu: float, mu_n: float, p_n: float, residual: float, da: float, naw: float
+) -> tuple[float, bool]:
+    """The adaptive step rule from one iteration's norms.
+
+    ``residual = ||w - y||``, ``da = ||A(w) - A(y)||`` and ``naw = ||A(w)||``.
+    Returns ``(lambda_{n+1}, tie)``: ``min((mu + mu_n)*residual/da,
+    lambda_n + p_n)``, or ``lambda_n + p_n`` with ``tie`` set when the two
+    forward values coincide numerically.
+    """
+    if not (math.isfinite(lambda_n) and math.isfinite(mu) and math.isfinite(mu_n) and math.isfinite(p_n)):
+        raise NonFiniteError("step_size_update received non-finite scalars")
+    if not lambda_n > 0:
+        raise ValueError("lambda_n must be positive")
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0, 1)")
+    if mu_n < 0 or p_n < 0:
+        raise ValueError("mu_n and p_n must be nonnegative")
+    grown = lambda_n + p_n
+    if da <= TIE_REL * (1.0 + naw):
+        return grown, True
+    return min((mu + mu_n) * residual / da, grown), False
+
+
 def step_size_update(
     lambda_n: float,
     w: Vector,
@@ -247,19 +287,112 @@ def step_size_update(
     falling back to ``lambda_n + p_n`` when the forward values coincide
     numerically.
     """
-    if not (math.isfinite(lambda_n) and math.isfinite(mu) and math.isfinite(mu_n) and math.isfinite(p_n)):
-        raise NonFiniteError("step_size_update received non-finite scalars")
-    if not lambda_n > 0:
-        raise ValueError("lambda_n must be positive")
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    if mu_n < 0 or p_n < 0:
-        raise ValueError("mu_n and p_n must be nonnegative")
     da = norm(aw - ay, weights)
-    grown = lambda_n + p_n
-    if da <= TIE_REL * (1.0 + norm(aw, weights)):
-        return grown
-    return min((mu + mu_n) * norm(w - y, weights) / da, grown)
+    naw = norm(aw, weights)
+    return _step_rule(lambda_n, mu, mu_n, p_n, norm(w - y, weights), da, naw)[0]
+
+
+def _iterate(
+    problem: Problem,
+    config: SolverConfig,
+    x_prev: Vector,
+    x_curr: Vector,
+    lam: float,
+    n: int,
+    trace: SolverTrace,
+) -> tuple[Vector, Vector, float, int, str]:
+    """The iteration kernel: run from iteration ``n`` until a stop.
+
+    Appends one row per iteration to ``trace`` and advances its counters.
+    Returns the advanced ``(x_prev, x_curr, lambda, n)`` and the status.
+    Non-finite values raise :class:`DivergenceError` carrying the last
+    row appended; numpy's overflow warnings are silenced because every
+    value that could carry one is checked explicitly.
+    """
+    if x_curr.shape != x_prev.shape:
+        raise ValueError(f"dimension mismatch: {x_curr.shape} vs {x_prev.shape}")
+    sched = config.schedules
+    alpha_at, beta_at, theta_at = sched.alpha.at, sched.beta.at, sched.theta.at
+    mu_at, p_at = sched.mu_seq.at, sched.p_seq.at
+    mu = sched.mu
+    wts = problem.weights
+    forward, backward = problem.forward, problem.backward
+    p_star = problem.known_solution
+    dist_from = p_star if config.record_distance else None
+    check_descent = config.assert_descent and p_star is not None
+    stop_rule, tol = config.stop_rule, config.tol
+    zeros = np.zeros(x_curr.shape)
+    rows = trace.rows
+    forward_evals = resolvent_evals = tie_breaks = 0
+    status = STATUS_BUDGET
+    clock = time.perf_counter
+    start = clock()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n, n + config.max_iters):
+                theta_n, mu_n, p_n = theta_at(n), mu_at(n), p_at(n)
+                step = x_curr - x_prev
+                w = x_curr + alpha_at(n) * step
+                z = x_curr + beta_at(n) * step
+                aw = forward(w)
+                y = backward(w - lam * aw, lam)
+                if not (_all_finite(aw, zeros) and _all_finite(y, zeros)):
+                    raise DivergenceError(f"non-finite operator value at iteration {n}")
+                resolvent_evals += 1
+
+                residual = norm(w - y, wts)
+                if residual <= EXACT_STOP_REL * (1.0 + norm(w, wts)):
+                    # y is a fixed point of the forward-backward map, hence a solution
+                    forward_evals += 1
+                    x_next, lam_next, status = y, lam, STATUS_EXACT
+                else:
+                    ay = forward(y)
+                    forward_evals += 2
+                    d_a = ay - aw
+                    lam_next, tie = _step_rule(lam, mu, mu_n, p_n, residual, norm(d_a, wts), norm(aw, wts))
+                    tie_breaks += tie
+                    corrected = y - lam * d_a
+                    x_next = (1.0 - theta_n) * z + theta_n * corrected
+                    if not (_all_finite(x_next, zeros) and math.isfinite(lam_next)):
+                        raise DivergenceError(f"non-finite iterate at iteration {n}")
+                    if not lam_next > 0:
+                        raise ValueError("step size must stay positive")
+                    if check_descent:
+                        coef = 1.0 - ((mu + mu_n) * lam / lam_next) ** 2
+                        if coef >= 0.0:
+                            gap_w = norm(w - p_star, wts) ** 2
+                            lhs = norm(corrected - p_star, wts) ** 2
+                            rhs = gap_w - coef * residual**2 + 1e-8 * (1.0 + gap_w)
+                            if lhs > rhs:
+                                raise DescentViolationError(
+                                    f"descent inequality violated at iteration {n}: {lhs!r} > {rhs!r}"
+                                )
+
+                if stop_rule == "iterate_norm":
+                    e_n = norm(x_next, wts)
+                elif stop_rule == "residual":
+                    e_n = residual
+                else:
+                    e_n = norm(x_next - x_curr, wts)
+                dist = None if dist_from is None else norm(x_next - dist_from, wts)
+                rows.append(TraceRow(n, lam, residual, e_n, dist, (clock() - start) * 1e3))
+                x_prev, x_curr, lam = x_curr, x_next, lam_next
+                if status == STATUS_EXACT:
+                    break
+                if e_n <= tol:
+                    status = STATUS_TOL
+                    break
+    except DivergenceError as err:
+        err.last_row = rows[-1] if rows else None
+        raise
+    except NonFiniteError as err:
+        last = rows[-1] if rows else None
+        raise DivergenceError(f"overflow while iterating: {err}", last_row=last) from err
+    finally:
+        trace.forward_evals += forward_evals
+        trace.resolvent_evals += resolvent_evals
+        trace.tie_breaks += tie_breaks
+    return x_prev, x_curr, lam, n + 1, status
 
 
 def tseng_step(
@@ -269,97 +402,32 @@ def tseng_step(
     config: SolverConfig | None = None,
     trace: SolverTrace | None = None,
 ) -> tuple[IterationState, TraceRow, str]:
-    """Run one iteration; returns the advanced state, its trace row, and a status.
+    """Run one iteration of the :func:`solve` kernel.
 
-    Status is ``"exact_solution"`` when the fixed-point residual vanished
-    (the answer is then ``state.x_curr`` of the returned state), else ``""``.
-    When a ``trace`` is supplied its evaluation and tie-break counters are
-    advanced in place.
+    Returns the advanced state, its trace row, and a status:
+    ``"exact_solution"`` when the fixed-point residual vanished (the answer
+    is then ``state.x_curr`` of the returned state), else ``""``.  Without
+    a ``config`` the step uses the ``step_diff`` metric and records the
+    distance to a known solution.  When a ``trace`` is supplied its
+    evaluation and tie-break counters are advanced in place; the row is
+    not appended to it.
     """
-    wts = problem.weights
-    n, lam = state.n, state.lambda_n
-    alpha_n = sched.alpha.at(n)
-    beta_n = sched.beta.at(n)
-    theta_n = sched.theta.at(n)
-    mu_n = sched.mu_seq.at(n)
-    p_n = sched.p_seq.at(n)
-    stop_rule = config.stop_rule if config is not None else "step_diff"
-
-    w = extrapolate(state.x_curr, state.x_prev, alpha_n)
-    z = extrapolate(state.x_curr, state.x_prev, beta_n)
-    aw = problem.forward(w)
-    y = problem.backward(w - lam * aw, lam)
-    if not (np.isfinite(aw).all() and np.isfinite(y).all()):
-        raise DivergenceError(f"non-finite operator value at iteration {n}")
-
-    residual = norm(w - y, wts)
-    dist_from = problem.known_solution if (
-        problem.known_solution is not None and (config is None or config.record_distance)
-    ) else None
-
-    if residual <= EXACT_STOP_REL * (1.0 + norm(w, wts)):
-        # y is a fixed point of the forward-backward map, hence a solution
-        if trace is not None:
-            trace.forward_evals += 1
-            trace.resolvent_evals += 1
-        if stop_rule == "iterate_norm":
-            e_n = norm(y, wts)
-        elif stop_rule == "residual":
-            e_n = residual
-        else:
-            e_n = norm(y - state.x_curr, wts)
-        row = TraceRow(
-            n=n,
-            lambda_n=lam,
-            residual=residual,
-            e_n=e_n,
-            dist=norm(y - dist_from, wts) if dist_from is not None else None,
-            elapsed_ms=0.0,
-        )
-        nxt = IterationState(x_prev=state.x_curr, x_curr=y, lambda_n=lam, n=n + 1)
-        return nxt, row, STATUS_EXACT
-
-    ay = problem.forward(y)
-    if trace is not None:
-        trace.forward_evals += 2
-        trace.resolvent_evals += 1
-        if norm(aw - ay, wts) <= TIE_REL * (1.0 + norm(aw, wts)):
-            trace.tie_breaks += 1
-    lam_next = step_size_update(lam, w, y, aw, ay, sched.mu, mu_n, p_n, weights=wts)
-    corrected = y - lam * (ay - aw)
-    x_next = (1.0 - theta_n) * z + theta_n * corrected
-    if not (np.isfinite(x_next).all() and math.isfinite(lam_next)):
-        raise DivergenceError(f"non-finite iterate at iteration {n}")
-
-    if config is not None and config.assert_descent and problem.known_solution is not None:
-        coef = 1.0 - ((sched.mu + mu_n) * lam / lam_next) ** 2
-        if coef >= 0.0:
-            p_star = problem.known_solution
-            gap_w = norm(w - p_star, wts) ** 2
-            lhs = norm(corrected - p_star, wts) ** 2
-            rhs = gap_w - coef * residual**2 + 1e-8 * (1.0 + gap_w)
-            if lhs > rhs:
-                raise DescentViolationError(
-                    f"descent inequality violated at iteration {n}: {lhs!r} > {rhs!r}"
-                )
-
-    if stop_rule == "iterate_norm":
-        e_n = norm(x_next, wts)
-    elif stop_rule == "residual":
-        e_n = residual
+    if config is None:
+        config = SolverConfig(schedules=sched, max_iters=1, tol=math.inf, record_distance=True)
     else:
-        e_n = norm(x_next - state.x_curr, wts)
-
-    row = TraceRow(
-        n=n,
-        lambda_n=lam,
-        residual=residual,
-        e_n=e_n,
-        dist=norm(x_next - dist_from, wts) if dist_from is not None else None,
-        elapsed_ms=0.0,
-    )
-    nxt = IterationState(x_prev=state.x_curr, x_curr=x_next, lambda_n=lam_next, n=n + 1)
-    return nxt, row, ""
+        config = replace(config, schedules=sched, max_iters=1)
+    one = SolverTrace()
+    try:
+        x_prev, x_curr, lam, n, status = _iterate(
+            problem, config, state.x_prev, state.x_curr, state.lambda_n, state.n, one
+        )
+    finally:
+        if trace is not None:
+            trace.forward_evals += one.forward_evals
+            trace.resolvent_evals += one.resolvent_evals
+            trace.tie_breaks += one.tie_breaks
+    nxt = IterationState(x_prev=x_prev, x_curr=x_curr, lambda_n=lam, n=n)
+    return nxt, one.rows[0], status if status == STATUS_EXACT else ""
 
 
 def solve(
@@ -374,34 +442,12 @@ def solve(
     Returns the final iterate and the full trace.  Deterministic: the same
     problem, config, and initial points give bit-identical traces.
     """
-    sched = config.schedules
     px0, px1 = problem.initial_points()
     x0 = as_vector(x0, name="x0") if x0 is not None else px0
     x1 = as_vector(x1, name="x1") if x1 is not None else px1
-    state = IterationState(x_prev=x0, x_curr=x1, lambda_n=sched.lambda1, n=1)
-
     trace = SolverTrace(label=problem.label)
-    start = time.perf_counter()
-    status = STATUS_BUDGET
-    for _ in range(config.max_iters):
-        try:
-            state, row, step_status = tseng_step(problem, state, sched, config, trace)
-        except DivergenceError as err:
-            err.last_row = trace.rows[-1] if trace.rows else None
-            raise
-        except NonFiniteError as err:
-            last = trace.rows[-1] if trace.rows else None
-            raise DivergenceError(f"overflow while iterating: {err}", last_row=last) from err
-        row.elapsed_ms = (time.perf_counter() - start) * 1e3
-        trace.rows.append(row)
-        if step_status == STATUS_EXACT:
-            status = STATUS_EXACT
-            break
-        if row.e_n <= config.tol:
-            status = STATUS_TOL
-            break
-    trace.status = status
-    return state.x_curr, trace
+    _, x, _, _, trace.status = _iterate(problem, config, x0, x1, config.schedules.lambda1, 1, trace)
+    return x, trace
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,24 @@ def test_lasso_config_runs(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     trace = read_trace_csv(out / "trace.csv")
     assert trace.rows[-1].e_n <= 1e-5
+
+
+def test_summary_norms_match_weighted_trace(tmp_path):
+    # l2_vi runs in the quadrature-weighted norm; the summary must use it too
+    cfg = write_config(
+        tmp_path,
+        "l2.json",
+        {
+            "seed": 0,
+            "problem": {"family": "l2_vi", "params": {"m": 60, "case": 1}},
+            "schedules": {"preset": "paper_default", "mu": 0.4, "lambda1": 1.0,
+                          "mu_seq": {"kind": "constant", "value": 0.0}},
+            "solver": {"max_iters": 1000, "tol": 1e-4, "stop_rule": "iterate_norm", "record_distance": True},
+        },
+    )
+    out = tmp_path / "l2_out"
+    main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
+    last = read_trace_csv(out / "trace.csv").rows[-1]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dist_to_solution"] == last.dist
+    assert summary["solution_norm"] == last.e_n

@@ -51,6 +51,23 @@ def test_affine_benchmark_recipe_is_monotone():
         assert inner(op(x) - op(y), x - y) >= -1e-8 * norm(x - y) ** 2
 
 
+def test_matrix_metadata_estimated_once_on_first_read(monkeypatch):
+    from tsengsplit import operators
+
+    calls = []
+    real = operators.spectral_norm_estimate
+    monkeypatch.setattr(operators, "spectral_norm_estimate", lambda m, steps: calls.append(steps) or real(m, steps))
+    m = uniform_matrix(RngStream(102), 6, 6, -5.0, 5.0)
+    aff = affine_forward(m, np.zeros(6))
+    lsq = least_squares_gradient(m[:4], np.ones(4))
+    assert calls == []  # construction estimates nothing
+    assert aff.lipschitz == real(m, steps=100)
+    assert aff.strong_monotone_modulus == max(0.0, float(np.linalg.eigvalsh(0.5 * (m + m.T))[0]))
+    assert lsq.lipschitz == real(m[:4], steps=100) ** 2
+    assert aff.lipschitz == aff.lipschitz and lsq.lipschitz == lsq.lipschitz
+    assert calls == [100, 100]  # one estimate per operator, then cached
+
+
 def test_affine_lipschitz_metadata_sound():
     rng = RngStream(101)
     m = uniform_matrix(rng, 20, 20, -5.0, 5.0)
