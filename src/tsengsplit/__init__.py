@@ -61,7 +61,6 @@ from .schedules import (
 from .solver import (
     DescentViolationError,
     DivergenceError,
-    IterationState,
     Problem,
     RateReport,
     SolverConfig,
@@ -70,12 +69,9 @@ from .solver import (
     TraceRow,
     certify_linear_rate,
     certify_sqrt_rate,
-    extrapolate,
     read_trace_csv,
     solve,
-    step_size_update,
     trace_to_csv,
-    tseng_step,
     write_trace_csv,
     write_trace_jsonl,
 )

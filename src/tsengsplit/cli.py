@@ -21,6 +21,7 @@ or failed validation/certificate, 2 bad configuration, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+STATUS_DIVERGED = "diverged"
 
 PROBLEM_FAMILIES = ("lasso", "affine_vi", "l2_vi", "oracle_strong", "oracle_orthant")
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
@@ -90,6 +92,20 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+@contextlib.contextmanager
+def _config_boundary(what: str):
+    """Report a malformed value met while converting user input as a
+    :class:`ConfigError` (exit 2) instead of a traceback; used as a
+    decorator on the conversion functions."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError) as err:
+        raise ConfigError(f"{what}: {type(err).__name__}: {err}") from err
+
+
+@_config_boundary("bad config value")
 def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -118,6 +134,8 @@ def load_config(path) -> ExperimentConfig:
             values = ax.get("values")
             _require(isinstance(values, list) and len(values) > 0, "sweep axis needs a nonempty value list")
             axes.append(SweepAxis(param=ax["param"], values=[float(v) for v in values]))
+            for v in axes[-1].values:
+                apply_sweep_point(schedules, {ax["param"]: v})  # rejects e.g. mu outside (0, 1)
 
     return ExperimentConfig(
         seed=seed,
@@ -134,63 +152,52 @@ def _schedules_from_config(spec: dict) -> ScheduleSet:
     spec = dict(spec)
     name = spec.pop("preset", None)
     if name is not None:
-        try:
-            base = preset(name)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        base = preset(name)
         if not spec:
             return base
         merged = base.to_dict()
         merged.update(spec)
         spec = merged
-    try:
-        return ScheduleSet.from_dict(spec)
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"bad schedules spec: {err}") from err
+    return ScheduleSet.from_dict(spec)
 
 
 def _solver_from_config(spec: dict, schedules: ScheduleSet) -> SolverConfig:
     _require(isinstance(spec, dict), "'solver' must be an object")
-    try:
-        return SolverConfig(
-            schedules=schedules,
-            max_iters=int(spec.get("max_iters", 10_000)),
-            tol=float(spec.get("tol", 1e-5)),
-            stop_rule=spec.get("stop_rule", "step_diff"),
-            assert_descent=bool(spec.get("assert_descent", False)),
-            record_distance=bool(spec.get("record_distance", True)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad solver spec: {err}") from err
+    return SolverConfig(
+        schedules=schedules,
+        max_iters=int(spec.get("max_iters", 10_000)),
+        tol=float(spec.get("tol", 1e-5)),
+        stop_rule=spec.get("stop_rule", "step_diff"),
+        assert_descent=bool(spec.get("assert_descent", False)),
+        record_distance=bool(spec.get("record_distance", True)),
+    )
 
 
+@_config_boundary("bad problem params")
 def build_problem(cfg: ExperimentConfig) -> Problem:
     p = cfg.problem_params
     rng = RngStream(cfg.seed)
-    try:
-        if cfg.family == "lasso":
-            _, prob = gen_lasso(
-                rng,
-                k=int(p.get("k", 20)),
-                m_rows=int(p.get("m_rows", 256)),
-                n_cols=int(p.get("n_cols", 512)),
-                noise_var=float(p.get("noise_var", 1e-4)),
-                reg=None if p.get("reg") is None else float(p["reg"]),
-                reg_scale=float(p.get("reg_scale", 0.01)),
-            )
-        elif cfg.family == "affine_vi":
-            q = p.get("q", "zero")
-            q_vec = None if q == "zero" else np.asarray(q, dtype=float)
-            m_mat = np.eye(int(p["m"])) if p.get("identity") else None
-            _, prob = gen_affine_vi(rng, m=int(p.get("m", 50)), q=q_vec, m_matrix=m_mat)
-        elif cfg.family == "l2_vi":
-            _, prob = gen_l2_vi(m=int(p.get("m", 200)), case_id=int(p.get("case", 1)))
-        elif cfg.family == "oracle_strong":
-            prob = gen_oracle_strong(rng, m=int(p.get("m", 10)), rho=float(p.get("rho", 1.0)))
-        else:
-            prob = oracle_orthant_vi(np.asarray(p.get("q", [-1.0, 1.0]), dtype=float))
-    except (ValueError, KeyError) as err:
-        raise ConfigError(f"bad problem params: {err}") from err
+    if cfg.family == "lasso":
+        _, prob = gen_lasso(
+            rng,
+            k=int(p.get("k", 20)),
+            m_rows=int(p.get("m_rows", 256)),
+            n_cols=int(p.get("n_cols", 512)),
+            noise_var=float(p.get("noise_var", 1e-4)),
+            reg=None if p.get("reg") is None else float(p["reg"]),
+            reg_scale=float(p.get("reg_scale", 0.01)),
+        )
+    elif cfg.family == "affine_vi":
+        q = p.get("q", "zero")
+        q_vec = None if q == "zero" else np.asarray(q, dtype=float)
+        m_mat = np.eye(int(p["m"])) if p.get("identity") else None
+        _, prob = gen_affine_vi(rng, m=int(p.get("m", 50)), q=q_vec, m_matrix=m_mat)
+    elif cfg.family == "l2_vi":
+        _, prob = gen_l2_vi(m=int(p.get("m", 200)), case_id=int(p.get("case", 1)))
+    elif cfg.family == "oracle_strong":
+        prob = gen_oracle_strong(rng, m=int(p.get("m", 10)), rho=float(p.get("rho", 1.0)))
+    else:
+        prob = oracle_orthant_vi(np.asarray(p.get("q", [-1.0, 1.0]), dtype=float))
     return prob
 
 
@@ -234,6 +241,7 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+@_config_boundary("bad command-line override")
 def _apply_cli_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = int(args.seed)
@@ -252,26 +260,34 @@ def cmd_solve(args) -> int:
     if not args.quiet and not validation["c3"]["passed"]:
         print("warning: schedule failed validation (run continues)", file=sys.stderr)
 
+    (out / "validation.json").write_text(json.dumps(validation, indent=2) + "\n", encoding="utf-8")
+    run_info = {
+        "seed": cfg.seed,
+        "problem": problem.label,
+        "schedules": cfg.schedules.label or cfg.schedules.to_dict(),
+    }
+
     t0 = time.perf_counter()
     try:
         x, trace = solve(problem, cfg.solver)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
+        row = err.last_row
+        summary = {
+            "status": STATUS_DIVERGED,
+            "error": str(err),
+            "last_row": None if row is None else row.to_dict(),
+            "elapsed_s": time.perf_counter() - t0,
+            **run_info,
+        }
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         return EXIT_DIVERGED
     elapsed = time.perf_counter() - t0
 
     write_trace_csv(trace, out / "trace.csv")
     write_trace_jsonl(trace, out / "trace.jsonl")
     summary = trace.summary()
-    summary.update(
-        {
-            "elapsed_s": elapsed,
-            "seed": cfg.seed,
-            "problem": problem.label,
-            "schedules": cfg.schedules.label or cfg.schedules.to_dict(),
-            "solution_norm": norm(x, problem.weights),
-        }
-    )
+    summary.update(elapsed_s=elapsed, **run_info, solution_norm=norm(x, problem.weights))
     if problem.known_solution is not None:
         summary["dist_to_solution"] = norm(x - problem.known_solution, problem.weights)
     if trace.tie_break_fraction() > 0.01:
@@ -279,7 +295,6 @@ def cmd_solve(args) -> int:
             "degenerate step-update branch hit on more than 1% of iterations"
         )
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    (out / "validation.json").write_text(json.dumps(validation, indent=2) + "\n", encoding="utf-8")
     if not args.quiet:
         print(json.dumps(summary, indent=2))
     return EXIT_OK if trace.status in ("tolerance_met", "exact_solution") else EXIT_FAIL
@@ -306,18 +321,21 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         try:
             _, trace = solve(problem, run_cfg)
-        except DivergenceError:
-            worst = EXIT_DIVERGED
-            continue
+        except DivergenceError as err:
+            status, last = STATUS_DIVERGED, err.last_row
+        else:
+            status, last = trace.status, trace.rows[-1]
         elapsed = time.perf_counter() - t0
-        if trace.status == "max_iters":
+        if status == STATUS_DIVERGED:
+            worst = EXIT_DIVERGED
+        elif status == "max_iters":
             worst = max(worst, EXIT_FAIL)
         rows.append(
             {
                 "point": point,
-                "iters": len(trace),
-                "status": trace.status,
-                "final_metric": trace.rows[-1].e_n if len(trace) else float("nan"),
+                "iters": 0 if last is None else last.n,
+                "status": status,
+                "final_metric": float("nan") if last is None else last.e_n,
                 "elapsed_s": elapsed,
             }
         )
@@ -339,12 +357,18 @@ def cmd_sweep(args) -> int:
 
 
 def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
-    """Per-axis monotonicity of iteration counts along increasing values."""
+    """Per-axis monotonicity of iteration counts along increasing values.
+
+    Diverged points have no comparable iteration count: they are left out
+    of the comparisons, counted, and make the axis verdict false.
+    """
+    finished = [r for r in rows if r["status"] != STATUS_DIVERGED]
+    diverged = len(rows) - len(finished)
     verdicts = {}
     for ax in axes:
         others = [o for o in axes if o.param != ax.param]
         groups: dict[tuple, list[tuple[float, int]]] = {}
-        for r in rows:
+        for r in finished:
             gkey = tuple(r["point"][o.param] for o in others)
             groups.setdefault(gkey, []).append((r["point"][ax.param], r["iters"]))
         violations = 0
@@ -355,14 +379,16 @@ def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
             comparisons += max(0, len(iters) - 1)
             violations += sum(1 for a, b in zip(iters, iters[1:]) if b > a)
         verdicts[ax.param] = {
-            "nonincreasing": violations == 0,
+            "nonincreasing": violations == 0 and diverged == 0,
             "violations": violations,
             "comparisons": comparisons,
+            "diverged": diverged,
         }
     return verdicts
 
 
 def cmd_validate(args) -> int:
+    _require(args.horizon is None or args.horizon >= 2, "--horizon must be >= 2")
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     payload = _validation_payload(cfg, problem, horizon=args.horizon)

@@ -61,8 +61,7 @@ class ForwardOperator:
     """Single-valued map with optional regularity metadata.
 
     ``lipschitz`` and ``strong_monotone_modulus`` are declarations about
-    the map (estimated or exact per ``metadata_exact``); leaving them
-    ``None`` means "unknown", never "zero".  ``estimators`` maps either
+    the map; leaving them ``None`` means "unknown", never "zero".  ``estimators`` maps either
     field name to a callable that computes it on first read, so costly
     estimates are only paid for by the validators that ask for them.
     """
@@ -71,7 +70,6 @@ class ForwardOperator:
     lipschitz: float | None = _Metadata()
     strong_monotone_modulus: float | None = _Metadata()
     label: str = ""
-    metadata_exact: bool = False
     estimators: Mapping[str, Callable[[], float]] = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x: Vector) -> Vector:
@@ -83,7 +81,6 @@ class Resolvent:
     """Parameterized backward map ``(x, lam) -> (I + lam*B)^{-1} x``."""
 
     fn: Callable[[Vector, float], Vector]
-    strong_monotone_modulus: float | None = None
     label: str = ""
 
     def __call__(self, x: Vector, lam: float) -> Vector:
@@ -104,8 +101,7 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
 
     The Lipschitz field is a spectral-norm estimate of ``M`` (100 power
     iterations); the strong-monotonicity modulus is the clipped smallest
-    eigenvalue of the symmetric part.  Both are flagged as estimates and
-    computed on first read.
+    eigenvalue of the symmetric part.  Both are computed on first read.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -151,7 +147,6 @@ def pointwise_max_zero() -> ForwardOperator:
         fn=lambda x: np.maximum(x, 0.0),
         lipschitz=1.0,
         label="pointwise_max_zero",
-        metadata_exact=True,
     )
 
 

@@ -12,13 +12,12 @@ Three experiment families are provided:
 
 Oracle constructors register a closed-form solution so runs can record
 the distance to it; registration verifies the fixed-point property.
-Generators are pure functions of their random stream, and instances
-serialize to JSON so benchmark runs are replayable.
+Generators are pure functions of their random stream, so a seed replays
+its instance exactly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,8 +34,6 @@ from .operators import (
 )
 from .solver import Problem
 
-GENERATOR_VERSION = 1
-
 __all__ = [
     "LassoInstance",
     "AffineVIInstance",
@@ -46,7 +43,6 @@ __all__ = [
     "gen_l2_vi",
     "gen_oracle_strong",
     "oracle_orthant_vi",
-    "GENERATOR_VERSION",
 ]
 
 
@@ -62,38 +58,6 @@ class LassoInstance:
     noise_var: float
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": "lasso",
-                "generator_version": GENERATOR_VERSION,
-                "seed": self.seed,
-                "k": self.k,
-                "m_rows": self.m_rows,
-                "n_cols": self.n_cols,
-                "noise_var": self.noise_var,
-                "reg": self.reg,
-                "a_mat": self.a_mat.tolist(),
-                "y": self.y.tolist(),
-                "x_true": self.x_true.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "LassoInstance":
-        d = json.loads(text)
-        return LassoInstance(
-            a_mat=np.array(d["a_mat"], dtype=float),
-            y=np.array(d["y"], dtype=float),
-            x_true=np.array(d["x_true"], dtype=float),
-            reg=d["reg"],
-            k=d["k"],
-            m_rows=d["m_rows"],
-            n_cols=d["n_cols"],
-            noise_var=d["noise_var"],
-            seed=d["seed"],
-        )
-
 
 @dataclass(eq=False)
 class AffineVIInstance:
@@ -101,28 +65,6 @@ class AffineVIInstance:
     q: Vector
     m: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": "affine_vi",
-                "generator_version": GENERATOR_VERSION,
-                "seed": self.seed,
-                "m": self.m,
-                "m_mat": self.m_mat.tolist(),
-                "q": self.q.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "AffineVIInstance":
-        d = json.loads(text)
-        return AffineVIInstance(
-            m_mat=np.array(d["m_mat"], dtype=float),
-            q=np.array(d["q"], dtype=float),
-            m=d["m"],
-            seed=d["seed"],
-        )
 
 
 @dataclass(eq=False)
@@ -133,20 +75,6 @@ class L2VIInstance:
     x0: Vector
     x1: Vector
     case_id: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": "l2_vi",
-                "generator_version": GENERATOR_VERSION,
-                "case_id": self.case_id,
-                "b": self.b,
-                "grid": self.grid.tolist(),
-                "weights": self.weights.tolist(),
-                "x0": self.x0.tolist(),
-                "x1": self.x1.tolist(),
-            }
-        )
 
 
 def _problem_reg(a_mat: Matrix, y: Vector, reg: float | None, reg_scale: float) -> float:
@@ -325,7 +253,6 @@ def gen_oracle_strong(rng: RngStream, m: int, rho: float) -> Problem:
         lipschitz=float(np.sqrt(rho**2 + s_norm**2)),
         strong_monotone_modulus=float(rho),
         label=f"strong_oracle(rho={rho:g})",
-        metadata_exact=True,
     )
     return Problem(
         forward=forward,

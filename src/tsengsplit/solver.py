@@ -19,9 +19,9 @@ resolvent evaluation and six vector norms: ``||w - y||`` (the residual,
 also the step-ratio numerator), ``||w||``, ``||A(w) - A(y)||``,
 ``||A(w)||``, the stop metric and the distance to a known solution (five
 without ``record_distance``, one fewer under the ``residual`` stop rule,
-which reuses the residual).  :func:`solve` and :func:`tseng_step` run the
-same kernel.  A run is strictly sequential; concurrent runs may share
-problems and schedules because those are immutable.
+which reuses the residual).  :func:`solve` is the one iteration loop.  A
+run is strictly sequential; concurrent runs may share problems and
+schedules because those are immutable.
 
 The module also provides empirical convergence-rate certificates checked
 against a recorded :class:`SolverTrace`: a ``1/sqrt(n)`` envelope on the
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,15 +45,11 @@ from .schedules import ScheduleSet
 __all__ = [
     "Problem",
     "SolverConfig",
-    "IterationState",
     "TraceRow",
     "SolverTrace",
     "SolverError",
     "DivergenceError",
     "DescentViolationError",
-    "extrapolate",
-    "step_size_update",
-    "tseng_step",
     "solve",
     "RateReport",
     "certify_sqrt_rate",
@@ -158,18 +154,6 @@ class SolverConfig:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}")
 
 
-@dataclass
-class IterationState:
-    x_prev: Vector
-    x_curr: Vector
-    lambda_n: float
-    n: int
-
-    def __post_init__(self):
-        if not self.lambda_n > 0:
-            raise ValueError("step size must stay positive")
-
-
 @dataclass(slots=True)
 class TraceRow:
     n: int
@@ -178,6 +162,17 @@ class TraceRow:
     e_n: float
     dist: float | None
     elapsed_ms: float
+
+    def to_dict(self) -> dict:
+        """The row under its ``trace.jsonl`` keys."""
+        return {
+            "n": self.n,
+            "lambda": self.lambda_n,
+            "residual": self.residual,
+            "E_n": self.e_n,
+            "dist": self.dist,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
 @dataclass
@@ -208,9 +203,6 @@ class SolverTrace:
     def lambdas(self) -> np.ndarray:
         return np.array([r.lambda_n for r in self.rows])
 
-    def dists(self) -> np.ndarray:
-        return np.array([math.nan if r.dist is None else r.dist for r in self.rows])
-
     def tie_break_fraction(self) -> float:
         return self.tie_breaks / len(self.rows) if self.rows else 0.0
 
@@ -226,13 +218,6 @@ class SolverTrace:
             "tie_break_fraction": self.tie_break_fraction(),
             "label": self.label,
         }
-
-
-def extrapolate(x_curr: Vector, x_prev: Vector, factor: float) -> Vector:
-    """Inertial extrapolation ``x_curr + factor*(x_curr - x_prev)``."""
-    if x_curr.shape != x_prev.shape:
-        raise ValueError(f"dimension mismatch: {x_curr.shape} vs {x_prev.shape}")
-    return x_curr + factor * (x_curr - x_prev)
 
 
 def _all_finite(v: Vector, zeros: Vector) -> bool:
@@ -257,7 +242,7 @@ def _step_rule(
     forward values coincide numerically.
     """
     if not (math.isfinite(lambda_n) and math.isfinite(mu) and math.isfinite(mu_n) and math.isfinite(p_n)):
-        raise NonFiniteError("step_size_update received non-finite scalars")
+        raise NonFiniteError("step rule received non-finite scalars")
     if not lambda_n > 0:
         raise ValueError("lambda_n must be positive")
     if not 0.0 < mu < 1.0:
@@ -270,51 +255,30 @@ def _step_rule(
     return min((mu + mu_n) * residual / da, grown), False
 
 
-def step_size_update(
-    lambda_n: float,
-    w: Vector,
-    y: Vector,
-    aw: Vector,
-    ay: Vector,
-    mu: float,
-    mu_n: float,
-    p_n: float,
-    weights: Vector | None = None,
-) -> float:
-    """Self-adaptive step update from one iteration's observed points.
-
-    Returns ``min((mu + mu_n)*||w - y||/||A(w) - A(y)||, lambda_n + p_n)``,
-    falling back to ``lambda_n + p_n`` when the forward values coincide
-    numerically.
-    """
-    da = norm(aw - ay, weights)
-    naw = norm(aw, weights)
-    return _step_rule(lambda_n, mu, mu_n, p_n, norm(w - y, weights), da, naw)[0]
-
-
-def _iterate(
+def solve(
     problem: Problem,
     config: SolverConfig,
-    x_prev: Vector,
-    x_curr: Vector,
-    lam: float,
-    n: int,
-    trace: SolverTrace,
-) -> tuple[Vector, Vector, float, int, str]:
-    """The iteration kernel: run from iteration ``n`` until a stop.
+    x0: Vector | None = None,
+    x1: Vector | None = None,
+) -> tuple[Vector, SolverTrace]:
+    """Iterate until the stop metric reaches ``tol``, an exact solution is
+    found, or the iteration budget runs out.
 
-    Appends one row per iteration to ``trace`` and advances its counters.
-    Returns the advanced ``(x_prev, x_curr, lambda, n)`` and the status.
+    Returns the final iterate and the full trace.  Deterministic: the same
+    problem, config, and initial points give bit-identical traces.
     Non-finite values raise :class:`DivergenceError` carrying the last
-    row appended; numpy's overflow warnings are silenced because every
-    value that could carry one is checked explicitly.
+    trace row; numpy's overflow warnings are silenced because every value
+    that could carry one is checked explicitly.
     """
+    px0, px1 = problem.initial_points()
+    x_prev = as_vector(x0, name="x0") if x0 is not None else px0
+    x_curr = as_vector(x1, name="x1") if x1 is not None else px1
     if x_curr.shape != x_prev.shape:
         raise ValueError(f"dimension mismatch: {x_curr.shape} vs {x_prev.shape}")
     sched = config.schedules
     alpha_at, beta_at, theta_at = sched.alpha.at, sched.beta.at, sched.theta.at
     mu_at, p_at = sched.mu_seq.at, sched.p_seq.at
-    mu = sched.mu
+    mu, lam = sched.mu, sched.lambda1
     wts = problem.weights
     forward, backward = problem.forward, problem.backward
     p_star = problem.known_solution
@@ -322,6 +286,7 @@ def _iterate(
     check_descent = config.assert_descent and p_star is not None
     stop_rule, tol = config.stop_rule, config.tol
     zeros = np.zeros(x_curr.shape)
+    trace = SolverTrace(label=problem.label)
     rows = trace.rows
     forward_evals = resolvent_evals = tie_breaks = 0
     status = STATUS_BUDGET
@@ -329,7 +294,7 @@ def _iterate(
     start = clock()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(n, n + config.max_iters):
+            for n in range(1, config.max_iters + 1):
                 theta_n, mu_n, p_n = theta_at(n), mu_at(n), p_at(n)
                 step = x_curr - x_prev
                 w = x_curr + alpha_at(n) * step
@@ -388,66 +353,9 @@ def _iterate(
     except NonFiniteError as err:
         last = rows[-1] if rows else None
         raise DivergenceError(f"overflow while iterating: {err}", last_row=last) from err
-    finally:
-        trace.forward_evals += forward_evals
-        trace.resolvent_evals += resolvent_evals
-        trace.tie_breaks += tie_breaks
-    return x_prev, x_curr, lam, n + 1, status
-
-
-def tseng_step(
-    problem: Problem,
-    state: IterationState,
-    sched: ScheduleSet,
-    config: SolverConfig | None = None,
-    trace: SolverTrace | None = None,
-) -> tuple[IterationState, TraceRow, str]:
-    """Run one iteration of the :func:`solve` kernel.
-
-    Returns the advanced state, its trace row, and a status:
-    ``"exact_solution"`` when the fixed-point residual vanished (the answer
-    is then ``state.x_curr`` of the returned state), else ``""``.  Without
-    a ``config`` the step uses the ``step_diff`` metric and records the
-    distance to a known solution.  When a ``trace`` is supplied its
-    evaluation and tie-break counters are advanced in place; the row is
-    not appended to it.
-    """
-    if config is None:
-        config = SolverConfig(schedules=sched, max_iters=1, tol=math.inf, record_distance=True)
-    else:
-        config = replace(config, schedules=sched, max_iters=1)
-    one = SolverTrace()
-    try:
-        x_prev, x_curr, lam, n, status = _iterate(
-            problem, config, state.x_prev, state.x_curr, state.lambda_n, state.n, one
-        )
-    finally:
-        if trace is not None:
-            trace.forward_evals += one.forward_evals
-            trace.resolvent_evals += one.resolvent_evals
-            trace.tie_breaks += one.tie_breaks
-    nxt = IterationState(x_prev=x_prev, x_curr=x_curr, lambda_n=lam, n=n)
-    return nxt, one.rows[0], status if status == STATUS_EXACT else ""
-
-
-def solve(
-    problem: Problem,
-    config: SolverConfig,
-    x0: Vector | None = None,
-    x1: Vector | None = None,
-) -> tuple[Vector, SolverTrace]:
-    """Iterate until the stop metric reaches ``tol``, an exact solution is
-    found, or the iteration budget runs out.
-
-    Returns the final iterate and the full trace.  Deterministic: the same
-    problem, config, and initial points give bit-identical traces.
-    """
-    px0, px1 = problem.initial_points()
-    x0 = as_vector(x0, name="x0") if x0 is not None else px0
-    x1 = as_vector(x1, name="x1") if x1 is not None else px1
-    trace = SolverTrace(label=problem.label)
-    _, x, _, _, trace.status = _iterate(problem, config, x0, x1, config.schedules.lambda1, 1, trace)
-    return x, trace
+    trace.status = status
+    trace.forward_evals, trace.resolvent_evals, trace.tie_breaks = forward_evals, resolvent_evals, tie_breaks
+    return x_curr, trace
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +526,5 @@ def write_trace_jsonl(trace: SolverTrace, path) -> None:
     """One JSON object per row, then a summary record with the status."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in trace.rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "n": r.n,
-                        "lambda": r.lambda_n,
-                        "residual": r.residual,
-                        "E_n": r.e_n,
-                        "dist": r.dist,
-                        "elapsed_ms": r.elapsed_ms,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(r.to_dict()) + "\n")
         fh.write(json.dumps(trace.summary()) + "\n")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -298,3 +299,106 @@ def test_summary_norms_match_weighted_trace(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dist_to_solution"] == last.dist
     assert summary["solution_norm"] == last.e_n
+
+
+ORTHANT = {
+    "version": 1,
+    "seed": 1,
+    "problem": {"family": "oracle_orthant", "params": {"q": [-1.0, 1.0]}},
+    "schedules": {"preset": "paper_default"},
+    "solver": {"max_iters": 200, "tol": 1e-8},
+}
+
+
+def orthant_config(tmp_path, **overrides):
+    cfg = json.loads(json.dumps(ORTHANT))
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    return write_config(tmp_path, "orthant.json", cfg)
+
+
+MALFORMED = {
+    "version_not_int": ("solve", {"version": "x"}),
+    "seed_not_int": ("solve", {"seed": "x"}),
+    "max_iters_null": ("solve", {"solver": {"max_iters": None}}),
+    "preset_mu_null": ("solve", {"schedules": {"mu": None}}),
+    "preset_alpha_string": ("solve", {"schedules": {"alpha": "x"}}),
+    "affine_m_null": ("solve", {"problem": {"family": "affine_vi", "params": {"m": None}}}),
+    "params_string": ("solve", {"problem": {"family": "affine_vi", "params": "abc"}}),
+    "sweep_value_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["abc"]}]}}),
+    "sweep_axis_number": ("sweep", {"sweep": {"axes": [3]}}),
+    "sweep_mu_out_of_range": ("sweep", {"sweep": {"axes": [{"param": "mu", "values": [0.5, 1.5]}]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
+    command, overrides = MALFORMED[case]
+    cfg = orthant_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("flags", [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "1"]])
+def test_bad_flag_value_exits_2(flags, tmp_path, capsys):
+    command, *rest = flags
+    out = ["--out", str(tmp_path / "o")] if command == "solve" else []
+    assert main([command, "--config", orthant_config(tmp_path), *out, *rest]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+DIVERGING = {
+    # overflows in the first iteration: no finite row yet
+    "huge_step": {"lambda1": 1e200, "p_seq": {"kind": "constant", "value": 1e300}},
+    # extrapolation blows up over many iterations
+    "huge_inertia": {"alpha": {"kind": "constant", "value": 50.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_diverged_solve_leaves_summary_and_validation(case, tmp_path):
+    cfg = orthant_config(tmp_path, schedules=DIVERGING[case])
+    out = tmp_path / "div"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert "not finite" in summary["error"]
+    assert summary["problem"] == "oracle_orthant(m=2)" and summary["seed"] == 1
+    last = summary["last_row"]
+    if case == "huge_step":
+        assert last is None
+    else:
+        assert {"n", "lambda", "residual", "E_n", "dist"} <= set(last)
+        assert last["n"] > 1 and math.isfinite(last["E_n"])
+    validation = json.loads((out / "validation.json").read_text())
+    assert "c3" in validation
+    assert not (out / "trace.csv").exists()
+
+
+def test_sweep_keeps_diverged_points(tmp_path):
+    cfg = orthant_config(
+        tmp_path,
+        schedules={"p_seq": {"kind": "constant", "value": 1e300}},
+        sweep={"axes": [{"param": "lambda1", "values": [0.1, 1e200]}]},
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    rows = [ln.split(",") for ln in (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["0.1", "1e+200"]
+    assert rows[0][3] != "diverged"
+    assert rows[1][2:5] == ["0", "diverged", "nan"]
+    trends = json.loads((out / "sweep_trends.json").read_text())
+    assert trends["lambda1"] == {"nonincreasing": False, "violations": 0, "comparisons": 0, "diverged": 1}
+
+
+def test_sweep_diverged_point_reports_last_row(tmp_path):
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "alpha", "values": [0.3, 50.0]}]})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    last = (out / "sweep_summary.csv").read_text().splitlines()[-1].split(",")
+    assert last[1] == "50.0" and last[3] == "diverged"
+    assert int(last[2]) > 1 and math.isfinite(float(last[4]))
+    assert json.loads((out / "sweep_trends.json").read_text())["alpha"]["diverged"] == 1

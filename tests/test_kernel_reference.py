@@ -12,7 +12,6 @@ import pytest
 
 from tsengsplit import (
     ForwardOperator,
-    IterationState,
     Problem,
     Resolvent,
     RngStream,
@@ -27,7 +26,6 @@ from tsengsplit import (
     oracle_orthant_vi,
     preset,
     solve,
-    tseng_step,
 )
 
 
@@ -144,19 +142,3 @@ def test_solve_matches_reference_bit_for_bit(case, stop_rule):
     if case == "constant_forward_tie":
         assert ties == len(rows_ref) > 0
 
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_tseng_step_reproduces_first_row(case):
-    make, sched_name, extra = CASES[case]
-    problem = make()
-    sched = schedule(sched_name)
-    config = SolverConfig(schedules=sched, max_iters=1, tol=1e-30, **extra)
-    x_prev, x_curr = problem.initial_points()
-    state = IterationState(x_prev=x_prev, x_curr=x_curr, lambda_n=sched.lambda1, n=1)
-    nxt, row, _ = tseng_step(problem, state, sched, config)
-    x, trace = solve(problem, config)
-    first = trace.rows[0]
-    assert (row.n, row.lambda_n, row.residual, row.e_n, row.dist) == (
-        first.n, first.lambda_n, first.residual, first.e_n, first.dist,
-    )
-    assert np.array_equal(nxt.x_curr, x) and nxt.n == 2

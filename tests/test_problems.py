@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from tsengsplit import (
-    AffineVIInstance,
-    LassoInstance,
     RngStream,
     SolverConfig,
     gen_affine_vi,
@@ -55,14 +53,6 @@ def test_lasso_forward_is_the_least_squares_gradient():
         assert np.allclose(prob.forward(x), expected)
 
 
-def test_lasso_instance_json_round_trip():
-    inst, _ = gen_lasso(RngStream(7), k=2, m_rows=8, n_cols=16)
-    back = LassoInstance.from_json(inst.to_json())
-    assert np.array_equal(back.a_mat, inst.a_mat)
-    assert np.array_equal(back.x_true, inst.x_true)
-    assert back.reg == inst.reg and back.seed == inst.seed
-
-
 # --- affine variational inequality ----------------------------------------------
 
 
@@ -90,13 +80,6 @@ def test_affine_vi_monotone_on_samples():
 def test_affine_vi_identity_oracle():
     inst, prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), m_matrix=np.eye(2))
     assert np.allclose(prob.known_solution, [1.0, 0.0])
-
-
-def test_affine_vi_instance_json_round_trip():
-    inst, _ = gen_affine_vi(RngStream(12), m=6)
-    back = AffineVIInstance.from_json(inst.to_json())
-    assert np.array_equal(back.m_mat, inst.m_mat)
-    assert np.array_equal(back.q, inst.q)
 
 
 # --- integral-constraint VI on a grid ----------------------------------------------

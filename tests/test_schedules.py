@@ -140,6 +140,16 @@ def test_validate_divergent_step_increments_fail():
     assert not validate_c3(s).clause("v").passed
 
 
+@pytest.mark.parametrize("p_seq", [rational(0.0, 1e-6, 0.0), constant(1e-12)], ids=["harmonic", "tiny_constant"])
+def test_validate_slowly_divergent_step_increments_fail(p_seq):
+    # both series diverge even though their terms are tiny
+    s = _custom(alpha=constant(0.5), beta=constant(0.0), theta=constant(0.5), p_seq=p_seq)
+    clause = validate_c3(s).clause("v")
+    assert not clause.passed
+    assert clause.detail == "step increments not summable"
+    assert validate_c3(preset("paper_default")).clause("v").passed
+
+
 def test_validate_nonvanishing_safety_relaxation_fails():
     s = _custom(alpha=constant(0.5), beta=constant(0.0), theta=constant(0.5), mu_seq=constant(0.05))
     assert not validate_c3(s).clause("v").passed

@@ -6,7 +6,6 @@ import pytest
 from tsengsplit import (
     DivergenceError,
     ForwardOperator,
-    IterationState,
     Problem,
     Resolvent,
     RngStream,
@@ -17,15 +16,12 @@ from tsengsplit import (
     certify_linear_rate,
     certify_sqrt_rate,
     constant,
-    extrapolate,
     gen_oracle_strong,
     inverse_square,
     oracle_orthant_vi,
     preset,
     read_trace_csv,
     solve,
-    step_size_update,
-    tseng_step,
     write_trace_csv,
 )
 from tsengsplit.solver import trace_to_csv
@@ -49,96 +45,47 @@ def identity_resolvent():
     return Resolvent(fn=lambda x, lam: x, label="identity")
 
 
-# --- extrapolation ------------------------------------------------------------
-
-
-def test_extrapolate_no_inertia():
-    x = np.array([1.0, 2.0])
-    assert np.array_equal(extrapolate(x, np.array([0.0, 0.0]), 0.0), x)
-
-
-def test_extrapolate_stationary():
-    x = np.array([3.0, -1.0])
-    assert np.array_equal(extrapolate(x, x, 0.7), x)
-
-
-def test_extrapolate_direct():
-    out = extrapolate(np.array([2.0]), np.array([1.0]), 0.5)
-    assert np.allclose(out, [2.5])
-
-
-def test_extrapolate_mismatch():
-    with pytest.raises(ValueError):
-        extrapolate(np.ones(2), np.ones(3), 0.5)
-
-
 # --- step-size update -----------------------------------------------------------
 
 
-def test_step_update_degenerate_branch():
-    w = np.array([1.0, 0.0])
-    y = np.array([0.5, 0.0])
-    a = np.array([2.0, 2.0])
-    assert step_size_update(0.25, w, y, a, a, mu=0.9, mu_n=0.0, p_n=0.05) == pytest.approx(0.30)
-
-
-def test_step_update_takes_current_step():
-    # ratio branch gives 0.9*0.5/1 = 0.45, grown branch 0.25: min is 0.25
-    w, y = np.array([0.5]), np.array([0.0])
-    aw, ay = np.array([1.0]), np.array([0.0])
-    out = step_size_update(0.25, w, y, aw, ay, mu=0.9, mu_n=0.0, p_n=0.0)
-    assert out == pytest.approx(0.25)
-
-
-def test_step_update_takes_grown_step():
-    # ratio branch gives (0.9+0.1)*2/1 = 2.0, grown branch 0.30: min is 0.30
-    w, y = np.array([2.0]), np.array([0.0])
-    aw, ay = np.array([1.0]), np.array([0.0])
-    out = step_size_update(0.25, w, y, aw, ay, mu=0.9, mu_n=0.1, p_n=0.05)
-    assert out == pytest.approx(0.30)
-
-
 def test_step_update_rejects_non_finite():
-    from tsengsplit import NonFiniteError
+    prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
+    cfg = SolverConfig(schedules=flat_schedule(p=constant(math.inf)), max_iters=10, tol=1e-30)
+    with pytest.raises(DivergenceError, match="non-finite scalars") as exc:
+        solve(prob, cfg)
+    assert exc.value.last_row is None
 
-    with pytest.raises(NonFiniteError):
-        step_size_update(math.inf, np.ones(1), np.ones(1), np.ones(1), np.zeros(1), 0.9, 0.0, 0.0)
 
-
-# --- single iteration -------------------------------------------------------------
+# --- first iterations by hand ---------------------------------------------------
 
 
 def scalar_doubling_problem():
     return Problem(
-        forward=ForwardOperator(fn=lambda x: 2.0 * x, lipschitz=2.0, metadata_exact=True),
+        forward=ForwardOperator(fn=lambda x: 2.0 * x, lipschitz=2.0),
         backward=identity_resolvent(),
         dimension=1,
     )
 
 
-def test_tseng_step_hand_computed():
+def test_solve_hand_computed_first_two_steps():
+    # A(x) = 2x, identity resolvent, theta = 1/2, no inertia, from x0 = x1 = 1:
+    # step 1: y = 1 - 0.25*2 = 0.5, x = (1 + (0.5 + 0.25*1))/2 = 0.875,
+    #         lambda = min(0.9*0.5/1, 0.25) = 0.25;
+    # step 2: y = 0.4375, x = (0.875 + (0.4375 + 0.25*0.875))/2 = 0.765625
     prob = scalar_doubling_problem()
     sched = flat_schedule(theta=0.5, lambda1=0.25)
-    st = IterationState(x_prev=np.array([1.0]), x_curr=np.array([1.0]), lambda_n=0.25, n=1)
-    nxt, row, status = tseng_step(prob, st, sched)
-    assert status == ""
-    assert nxt.x_curr[0] == pytest.approx(0.875, abs=1e-15)
-    assert nxt.lambda_n == pytest.approx(0.25, abs=1e-15)
-    assert row.residual == pytest.approx(0.5)
-    assert row.n == 1 and nxt.n == 2
+    one = np.array([1.0])
+    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=1, tol=1e-30), x0=one, x1=one)
+    assert x[0] == pytest.approx(0.875, abs=1e-15)
+    assert [(r.n, r.lambda_n, r.residual) for r in trace.rows] == [(1, 0.25, 0.5)]
+    assert trace.status == "max_iters"
+    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=2, tol=1e-30), x0=one, x1=one)
+    assert x[0] == pytest.approx(0.765625, abs=1e-15)
+    assert [(r.n, r.lambda_n) for r in trace.rows] == [(1, 0.25), (2, 0.25)]
+    assert trace.rows[1].residual == pytest.approx(0.4375, abs=1e-15)
 
 
-def test_tseng_step_exact_stop_from_solution():
-    prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
-    xs = prob.known_solution
-    st = IterationState(x_prev=xs, x_curr=xs, lambda_n=0.1, n=1)
-    nxt, row, status = tseng_step(prob, st, preset("paper_default"))
-    assert status == "exact_solution"
-    assert np.allclose(nxt.x_curr, xs)
-    assert row.residual == 0.0
-
-
-def test_tseng_step_operation_counts():
+def test_solve_operation_counts():
     calls = {"fwd": 0, "res": 0}
     base = oracle_orthant_vi(np.array([-1.0, 1.0]))
 
@@ -221,11 +168,10 @@ def test_reduction_matches_independent_plain_loop():
         lam = lam_next
         states.append(x.copy())
 
-    st = IterationState(x_prev=np.ones(5), x_curr=np.ones(5), lambda_n=sched.lambda1, n=1)
-    for ref in states:
-        st, _, status = tseng_step(prob, st, sched)
-        assert status == ""
-        assert np.linalg.norm(st.x_curr - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+    for k, ref in enumerate(states, start=1):
+        x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=k, tol=1e-30))
+        assert trace.status == "max_iters" and len(trace) == k
+        assert np.linalg.norm(x - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
 
 
 def test_step_sizes_respect_theoretical_interval():
