@@ -59,6 +59,7 @@ from .schedules import (
     validate_strong,
 )
 from .solver import (
+    TRACE_COLUMNS,
     DescentViolationError,
     DivergenceError,
     Problem,
@@ -66,7 +67,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     SolverTrace,
-    TraceRow,
     certify_linear_rate,
     certify_sqrt_rate,
     read_trace_csv,

@@ -3,16 +3,18 @@
 Subcommands:
 
 * ``solve``    - run one configured solve; writes ``trace.csv``,
-  ``summary.json`` and ``validation.json`` into the output directory.
+  ``trace.jsonl``, ``summary.json`` and ``validation.json`` (a diverged
+  solve, reported from its partial trace, writes only the last two).
 * ``sweep``    - run a parameter grid on one fixed instance; writes
   ``sweep_summary.csv`` and ``sweep_trends.json``.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
-Configs are versioned JSON documents; sequence formulas are restricted to
-the declared family (constants, ``a + b/(c+n)``, ``1 - 10^-n``, ``1/n^2``)
-so every run is portable and replayable.  With a fixed seed, two
-invocations of the same config produce byte-identical trace CSVs.
+Configs are versioned JSON documents whose objects hold only known keys;
+sequence formulas are restricted to the declared family (constants,
+``a + b/(c+n)``, ``1 - 10^-n``, ``1/n^2``) so every run is portable and
+replayable.  With a fixed seed, two invocations of the same config
+produce byte-identical trace CSVs.
 
 Exit codes: 0 success (converged / valid / certified), 1 budget exhausted
 or failed validation/certificate, 2 bad configuration, 3 divergence.
@@ -26,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,8 @@ from .schedules import (
     validate_strong,
 )
 from .solver import (
+    STATUS_BUDGET,
+    STATUS_DIVERGED,
     DivergenceError,
     Problem,
     SolverConfig,
@@ -61,9 +65,18 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-STATUS_DIVERGED = "diverged"
 
-PROBLEM_FAMILIES = ("lasso", "affine_vi", "l2_vi", "oracle_strong", "oracle_orthant")
+# each problem family and the params it reads
+PROBLEM_PARAMS = {
+    "lasso": ("k", "m_rows", "n_cols", "noise_var", "reg", "reg_scale"),
+    "affine_vi": ("m", "q", "identity"),
+    "l2_vi": ("m", "case"),
+    "oracle_strong": ("m", "rho"),
+    "oracle_orthant": ("q",),
+}
+PROBLEM_FAMILIES = tuple(PROBLEM_PARAMS)
+SCHEDULE_KEYS = ("preset", *(f.name for f in fields(ScheduleSet)))
+SOLVER_KEYS = ("max_iters", "tol", "stop_rule", "assert_descent", "record_distance")
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
 
 
@@ -92,6 +105,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _object(spec, where: str, keys) -> dict:
+    """``spec`` as a config object whose keys all lie in ``keys``."""
+    _require(isinstance(spec, dict), f"'{where}' must be an object")
+    unknown = sorted(set(spec) - set(keys))
+    _require(not unknown, f"unknown key(s) in '{where}': {', '.join(unknown)}")
+    return spec
+
+
 @contextlib.contextmanager
 def _config_boundary(what: str):
     """Report a malformed value met while converting user input as a
@@ -101,7 +122,7 @@ def _config_boundary(what: str):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError) as err:
+    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError) as err:
         raise ConfigError(f"{what}: {type(err).__name__}: {err}") from err
 
 
@@ -113,11 +134,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    _require(isinstance(raw, dict), "config must be a JSON object")
+    _object(raw, "config", ("version", "seed", "problem", "schedules", "solver", "sweep"))
     _require(int(raw.get("version", CONFIG_VERSION)) == CONFIG_VERSION, "unsupported config version")
 
-    prob = raw.get("problem")
-    _require(isinstance(prob, dict), "config needs a 'problem' object")
+    prob = _object(raw.get("problem"), "problem", ("family", "params", "seed"))
     family = prob.get("family")
     _require(family in PROBLEM_FAMILIES, f"problem.family must be one of {PROBLEM_FAMILIES}")
     seed = int(raw.get("seed", prob.get("seed", 0)))
@@ -128,8 +148,10 @@ def load_config(path) -> ExperimentConfig:
     axes: list[SweepAxis] = []
     sweep = raw.get("sweep")
     if sweep is not None:
-        _require(isinstance(sweep, dict) and isinstance(sweep.get("axes"), list), "sweep needs an 'axes' list")
-        for ax in sweep["axes"]:
+        axis_specs = _object(sweep, "sweep", ("axes",)).get("axes")
+        _require(isinstance(axis_specs, list), "sweep needs an 'axes' list")
+        for ax in axis_specs:
+            _object(ax, "sweep axis", ("param", "values"))
             _require(ax.get("param") in SWEEPABLE, f"sweep param must be one of {SWEEPABLE}")
             values = ax.get("values")
             _require(isinstance(values, list) and len(values) > 0, "sweep axis needs a nonempty value list")
@@ -140,7 +162,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         seed=seed,
         family=family,
-        problem_params=dict(prob.get("params", {})),
+        problem_params=dict(_object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])),
         schedules=schedules,
         solver=solver_cfg,
         sweep_axes=axes,
@@ -148,8 +170,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _schedules_from_config(spec: dict) -> ScheduleSet:
-    _require(isinstance(spec, dict), "'schedules' must be an object")
-    spec = dict(spec)
+    spec = dict(_object(spec, "schedules", SCHEDULE_KEYS))
     name = spec.pop("preset", None)
     if name is not None:
         base = preset(name)
@@ -162,7 +183,7 @@ def _schedules_from_config(spec: dict) -> ScheduleSet:
 
 
 def _solver_from_config(spec: dict, schedules: ScheduleSet) -> SolverConfig:
-    _require(isinstance(spec, dict), "'solver' must be an object")
+    _object(spec, "solver", SOLVER_KEYS)
     return SolverConfig(
         schedules=schedules,
         max_iters=int(spec.get("max_iters", 10_000)),
@@ -237,7 +258,10 @@ def _validation_payload(cfg: ExperimentConfig, problem: Problem, horizon: int | 
 
 def _out_dir(arg: str | None) -> Path:
     out = Path(arg) if arg else Path(os.environ.get(OUT_DIR_ENV, "runs"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory: {err}") from err
     return out
 
 
@@ -272,16 +296,18 @@ def cmd_solve(args) -> int:
         x, trace = solve(problem, cfg.solver)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
-        row = err.last_row
-        summary = {
-            "status": STATUS_DIVERGED,
-            "error": str(err),
-            "last_row": None if row is None else row.to_dict(),
-            "elapsed_s": time.perf_counter() - t0,
+        trace = err.trace
+        summary = trace.summary()
+        summary.update(
+            error=str(err),
+            last_row=trace.row(-1) if trace.rows else None,
+            elapsed_s=time.perf_counter() - t0,
             **run_info,
-        }
+        )
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
         return EXIT_DIVERGED
+    except ValueError as err:  # a schedule value the step rule rejects mid-run
+        raise ConfigError(f"bad schedule value: {err}") from err
     elapsed = time.perf_counter() - t0
 
     write_trace_csv(trace, out / "trace.csv")
@@ -322,20 +348,20 @@ def cmd_sweep(args) -> int:
         try:
             _, trace = solve(problem, run_cfg)
         except DivergenceError as err:
-            status, last = STATUS_DIVERGED, err.last_row
-        else:
-            status, last = trace.status, trace.rows[-1]
+            trace = err.trace
+        except ValueError as err:
+            raise ConfigError(f"bad schedule value: {err}") from err
         elapsed = time.perf_counter() - t0
-        if status == STATUS_DIVERGED:
+        if trace.status == STATUS_DIVERGED:
             worst = EXIT_DIVERGED
-        elif status == "max_iters":
+        elif trace.status == STATUS_BUDGET:
             worst = max(worst, EXIT_FAIL)
         rows.append(
             {
                 "point": point,
-                "iters": 0 if last is None else last.n,
-                "status": status,
-                "final_metric": float("nan") if last is None else last.e_n,
+                "iters": len(trace),
+                "status": trace.status,
+                "final_metric": trace.row(-1)["E_n"] if trace.rows else float("nan"),
                 "elapsed_s": elapsed,
             }
         )

@@ -75,7 +75,7 @@ def norm(a: Vector, weights: Vector | None = None) -> float:
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named, portable PRNG stream identified by a 64-bit seed.
+    """A portable PCG64 stream identified by a 64-bit seed.
 
     Identical seeds give identical draw sequences across runs and platforms.
     ``generator()`` returns a *fresh* generator each call, so two calls with
@@ -84,20 +84,17 @@ class RngStream:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported PRNG algorithm: {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, index: int) -> "RngStream":
         derived = np.random.SeedSequence([int(self.seed), int(index)])
-        return RngStream(int(derived.generate_state(1, np.uint64)[0]), self.algorithm)
+        return RngStream(int(derived.generate_state(1, np.uint64)[0]))
 
 
 def uniform_matrix(rng: RngStream, rows: int, cols: int, lo: float, hi: float) -> Matrix:

@@ -69,7 +69,6 @@ class ForwardOperator:
     fn: Callable[[Vector], Vector]
     lipschitz: float | None = _Metadata()
     strong_monotone_modulus: float | None = _Metadata()
-    label: str = ""
     estimators: Mapping[str, Callable[[], float]] = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x: Vector) -> Vector:
@@ -81,7 +80,6 @@ class Resolvent:
     """Parameterized backward map ``(x, lam) -> (I + lam*B)^{-1} x``."""
 
     fn: Callable[[Vector, float], Vector]
-    label: str = ""
 
     def __call__(self, x: Vector, lam: float) -> Vector:
         return self.fn(x, lam)
@@ -93,7 +91,6 @@ class ConvexSetProjector:
 
     project: Callable[[Vector], Vector]
     membership_residual: Callable[[Vector], float]
-    label: str = ""
 
 
 def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
@@ -111,7 +108,6 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({m_mat.shape[0]},)")
     return ForwardOperator(
         fn=lambda x: m_mat @ x + q,
-        label="affine",
         estimators={
             "lipschitz": lambda: spectral_norm_estimate(m_mat, steps=100),
             "strong_monotone_modulus": lambda: max(0.0, float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])),
@@ -133,7 +129,6 @@ def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({a_mat.shape[0]},)")
     return ForwardOperator(
         fn=lambda x: a_mat.T @ (a_mat @ x - y),
-        label="least_squares_gradient",
         estimators={"lipschitz": lambda: spectral_norm_estimate(a_mat, steps=100) ** 2},
     )
 
@@ -143,11 +138,7 @@ def pointwise_max_zero() -> ForwardOperator:
 
     Not strongly monotone, so that modulus is deliberately left undeclared.
     """
-    return ForwardOperator(
-        fn=lambda x: np.maximum(x, 0.0),
-        lipschitz=1.0,
-        label="pointwise_max_zero",
-    )
+    return ForwardOperator(fn=lambda x: np.maximum(x, 0.0), lipschitz=1.0)
 
 
 def soft_threshold_resolvent(rho: float) -> Resolvent:
@@ -163,7 +154,7 @@ def soft_threshold_resolvent(rho: float) -> Resolvent:
             raise ValueError(f"resolvent parameter must be positive, got {lam}")
         return np.sign(x) * np.maximum(np.abs(x) - lam * rho, 0.0)
 
-    return Resolvent(fn=fn, label=f"soft_threshold(rho={rho:g})")
+    return Resolvent(fn=fn)
 
 
 def orthant_projector(m: int) -> ConvexSetProjector:
@@ -173,7 +164,6 @@ def orthant_projector(m: int) -> ConvexSetProjector:
     return ConvexSetProjector(
         project=lambda x: np.maximum(x, 0.0),
         membership_residual=lambda x: norm(np.minimum(x, 0.0)),
-        label=f"orthant(m={m})",
     )
 
 
@@ -199,7 +189,6 @@ def weighted_hyperplane_projector(
     return ConvexSetProjector(
         project=project,
         membership_residual=lambda x: abs(inner(w, x, weights) - b),
-        label=f"hyperplane(b={b:g})",
     )
 
 
@@ -209,4 +198,4 @@ def projector_as_resolvent(p: ConvexSetProjector) -> Resolvent:
     Independent of the resolvent parameter, which is exactly what makes
     the inclusion solver cover variational inequalities.
     """
-    return Resolvent(fn=lambda x, lam: p.project(x), label=f"normal_cone[{p.label}]")
+    return Resolvent(fn=lambda x, lam: p.project(x))

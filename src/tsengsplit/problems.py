@@ -18,6 +18,7 @@ its instance exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,8 +241,8 @@ def gen_oracle_strong(rng: RngStream, m: int, rho: float) -> Problem:
     operator is the orthant projection and zero is the registered
     solution.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if m < 1:
         raise ValueError("dimension must be >= 1")
     upper = np.triu(rng.generator().uniform(-1.0, 1.0, (m, m)), k=1)
@@ -252,7 +253,6 @@ def gen_oracle_strong(rng: RngStream, m: int, rho: float) -> Problem:
         affine_forward(fwd_mat, np.zeros(m)),
         lipschitz=float(np.sqrt(rho**2 + s_norm**2)),
         strong_monotone_modulus=float(rho),
-        label=f"strong_oracle(rho={rho:g})",
     )
     return Problem(
         forward=forward,

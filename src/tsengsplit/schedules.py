@@ -55,7 +55,8 @@ __all__ = [
 # sequence family
 # ---------------------------------------------------------------------------
 
-_KINDS = ("constant", "rational", "one_minus_pow10", "inverse_square")
+# each kind of the family and the parameters it reads
+_KINDS = {"constant": ("value",), "rational": ("a", "b", "c"), "one_minus_pow10": (), "inverse_square": ()}
 
 
 @dataclass(frozen=True)
@@ -128,15 +129,12 @@ class SequenceSpec:
     @staticmethod
     def from_dict(d: dict) -> "SequenceSpec":
         kind = d.get("kind")
-        if kind == "constant":
-            return SequenceSpec("constant", value=float(d.get("value", 0.0)))
-        if kind == "rational":
-            return SequenceSpec(
-                "rational", a=float(d.get("a", 0.0)), b=float(d.get("b", 0.0)), c=float(d.get("c", 0.0))
-            )
-        if kind in ("one_minus_pow10", "inverse_square"):
-            return SequenceSpec(kind)
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        unknown = sorted(set(d) - {"kind", *_KINDS[kind]})
+        if unknown:
+            raise ValueError(f"unknown key(s) in a {kind} sequence: {', '.join(unknown)}")
+        return SequenceSpec(kind, **{key: float(d.get(key, 0.0)) for key in _KINDS[kind]})
 
 
 def constant(v: float) -> SequenceSpec:
@@ -497,7 +495,7 @@ def validate_strong(p: StrongParams) -> StrongReport:
     ok2 = 0.0 <= a < c2_cap
     clauses.append(ClauseResult("c2", ok2, None if ok2 else 1, f"alpha = {a:.6g} vs cap {c2_cap:.6g}"))
 
-    lower1 = (1.0 - b) / (1.0 + a - b)
+    lower1 = (1.0 - b) / (1.0 + a - b) if 1.0 + a - b > 0.0 else math.inf
     denom = 1.0 + b - tau * (1.0 + a)
     lower2 = b / denom if denom > 0.0 else math.inf
     lower = max(lower1, lower2)

@@ -23,10 +23,12 @@ which reuses the residual).  :func:`solve` is the one iteration loop.  A
 run is strictly sequential; concurrent runs may share problems and
 schedules because those are immutable.
 
-The module also provides empirical convergence-rate certificates checked
-against a recorded :class:`SolverTrace`: a ``1/sqrt(n)`` envelope on the
-best fixed-point residual and a geometric-decay check on the distance to
-a known solution.
+Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
+place the trace schema is written down; the CSV/JSONL writers, the reader,
+the summary and the empirical convergence-rate certificates read rows
+through it.  The certificates are a ``1/sqrt(n)`` envelope on the best
+fixed-point residual and a geometric-decay check on the distance to a
+known solution.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .schedules import ScheduleSet
 __all__ = [
     "Problem",
     "SolverConfig",
-    "TraceRow",
+    "TRACE_COLUMNS",
     "SolverTrace",
     "SolverError",
     "DivergenceError",
@@ -64,6 +66,10 @@ STOP_RULES = ("step_diff", "iterate_norm", "residual")
 STATUS_EXACT = "exact_solution"
 STATUS_TOL = "tolerance_met"
 STATUS_BUDGET = "max_iters"
+STATUS_DIVERGED = "diverged"
+
+# one trace row per iteration, a tuple in this order (dist None when unrecorded)
+TRACE_COLUMNS = ("n", "lambda", "residual", "E_n", "dist", "elapsed_ms")
 
 # ||w - y|| below this relative threshold counts as an exact fixed point
 EXACT_STOP_REL = 1e-13
@@ -77,11 +83,11 @@ class SolverError(RuntimeError):
 
 
 class DivergenceError(SolverError):
-    """An iterate left the finite floats; carries the last finite trace row."""
+    """An iterate left the finite floats; carries the partial, ``diverged`` trace."""
 
-    def __init__(self, message: str, last_row: "TraceRow | None" = None):
+    def __init__(self, message: str, trace: "SolverTrace"):
         super().__init__(message)
-        self.last_row = last_row
+        self.trace = trace
 
 
 class DescentViolationError(SolverError):
@@ -154,37 +160,16 @@ class SolverConfig:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}")
 
 
-@dataclass(slots=True)
-class TraceRow:
-    n: int
-    lambda_n: float
-    residual: float
-    e_n: float
-    dist: float | None
-    elapsed_ms: float
-
-    def to_dict(self) -> dict:
-        """The row under its ``trace.jsonl`` keys."""
-        return {
-            "n": self.n,
-            "lambda": self.lambda_n,
-            "residual": self.residual,
-            "E_n": self.e_n,
-            "dist": self.dist,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
 @dataclass
 class SolverTrace:
-    """Per-iteration records plus terminal status and evaluation counters.
+    """Tuple rows under :data:`TRACE_COLUMNS` plus terminal status and counters.
 
     ``tie_breaks`` counts iterations where the step update took the
     degenerate branch because the two forward values were numerically
     equal; a large fraction signals a threshold-sensitive run.
     """
 
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     status: str = STATUS_BUDGET
     forward_evals: int = 0
     resolvent_evals: int = 0
@@ -194,24 +179,28 @@ class SolverTrace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def residuals(self) -> np.ndarray:
-        return np.array([r.residual for r in self.rows])
+    def row(self, i: int) -> dict:
+        """Row ``i`` under its :data:`TRACE_COLUMNS` names."""
+        return dict(zip(TRACE_COLUMNS, self.rows[i]))
 
-    def e_values(self) -> np.ndarray:
-        return np.array([r.e_n for r in self.rows])
+    def column(self, name: str) -> np.ndarray:
+        """One column as a float array; an unrecorded ``dist`` reads NaN."""
+        i = TRACE_COLUMNS.index(name)
+        return np.array([r[i] for r in self.rows], dtype=float)
 
     def lambdas(self) -> np.ndarray:
-        return np.array([r.lambda_n for r in self.rows])
+        return self.column("lambda")
 
     def tie_break_fraction(self) -> float:
         return self.tie_breaks / len(self.rows) if self.rows else 0.0
 
     def summary(self) -> dict:
+        last = self.row(-1) if self.rows else {}
         return {
             "status": self.status,
             "iterations": len(self.rows),
-            "final_metric": self.rows[-1].e_n if self.rows else None,
-            "final_residual": self.rows[-1].residual if self.rows else None,
+            "final_metric": last.get("E_n"),
+            "final_residual": last.get("residual"),
             "forward_evals": self.forward_evals,
             "resolvent_evals": self.resolvent_evals,
             "tie_breaks": self.tie_breaks,
@@ -266,8 +255,8 @@ def solve(
 
     Returns the final iterate and the full trace.  Deterministic: the same
     problem, config, and initial points give bit-identical traces.
-    Non-finite values raise :class:`DivergenceError` carrying the last
-    trace row; numpy's overflow warnings are silenced because every value
+    Non-finite values raise :class:`DivergenceError` carrying the partial
+    trace; numpy's overflow warnings are silenced because every value
     that could carry one is checked explicitly.
     """
     px0, px1 = problem.initial_points()
@@ -301,25 +290,25 @@ def solve(
                 z = x_curr + beta_at(n) * step
                 aw = forward(w)
                 y = backward(w - lam * aw, lam)
-                if not (_all_finite(aw, zeros) and _all_finite(y, zeros)):
-                    raise DivergenceError(f"non-finite operator value at iteration {n}")
+                forward_evals += 1
                 resolvent_evals += 1
+                if not (_all_finite(aw, zeros) and _all_finite(y, zeros)):
+                    raise DivergenceError(f"non-finite operator value at iteration {n}", trace)
 
                 residual = norm(w - y, wts)
                 if residual <= EXACT_STOP_REL * (1.0 + norm(w, wts)):
                     # y is a fixed point of the forward-backward map, hence a solution
-                    forward_evals += 1
                     x_next, lam_next, status = y, lam, STATUS_EXACT
                 else:
                     ay = forward(y)
-                    forward_evals += 2
+                    forward_evals += 1
                     d_a = ay - aw
                     lam_next, tie = _step_rule(lam, mu, mu_n, p_n, residual, norm(d_a, wts), norm(aw, wts))
                     tie_breaks += tie
                     corrected = y - lam * d_a
                     x_next = (1.0 - theta_n) * z + theta_n * corrected
                     if not (_all_finite(x_next, zeros) and math.isfinite(lam_next)):
-                        raise DivergenceError(f"non-finite iterate at iteration {n}")
+                        raise DivergenceError(f"non-finite iterate at iteration {n}", trace)
                     if not lam_next > 0:
                         raise ValueError("step size must stay positive")
                     if check_descent:
@@ -340,21 +329,21 @@ def solve(
                 else:
                     e_n = norm(x_next - x_curr, wts)
                 dist = None if dist_from is None else norm(x_next - dist_from, wts)
-                rows.append(TraceRow(n, lam, residual, e_n, dist, (clock() - start) * 1e3))
+                rows.append((n, lam, residual, e_n, dist, (clock() - start) * 1e3))
                 x_prev, x_curr, lam = x_curr, x_next, lam_next
                 if status == STATUS_EXACT:
                     break
                 if e_n <= tol:
                     status = STATUS_TOL
                     break
-    except DivergenceError as err:
-        err.last_row = rows[-1] if rows else None
+    except (DivergenceError, NonFiniteError) as err:
+        status = STATUS_DIVERGED
+        if isinstance(err, NonFiniteError):
+            raise DivergenceError(f"overflow while iterating: {err}", trace) from err
         raise
-    except NonFiniteError as err:
-        last = rows[-1] if rows else None
-        raise DivergenceError(f"overflow while iterating: {err}", last_row=last) from err
-    trace.status = status
-    trace.forward_evals, trace.resolvent_evals, trace.tie_breaks = forward_evals, resolvent_evals, tie_breaks
+    finally:
+        trace.status = status
+        trace.forward_evals, trace.resolvent_evals, trace.tie_breaks = forward_evals, resolvent_evals, tie_breaks
     return x_curr, trace
 
 
@@ -391,7 +380,7 @@ def certify_sqrt_rate(trace: SolverTrace) -> RateReport:
     t = len(trace.rows)
     if t < 50:
         raise ValueError(f"trace too short for the sqrt-rate certificate: {t} rows < 50")
-    r = np.minimum.accumulate(trace.residuals())
+    r = np.minimum.accumulate(trace.column("residual"))
     s = r * np.sqrt(np.arange(1, t + 1))
     half = t // 2
     c_fit = float(s[:half].max())
@@ -425,7 +414,8 @@ def certify_linear_rate(trace: SolverTrace, q_bound: float | None = None) -> Rat
     When ``q_bound`` is given, the report also states whether the largest
     tail ratio stays within ``q_bound + 0.05``.
     """
-    d = np.array([r.dist for r in trace.rows if r.dist is not None], dtype=float)
+    d = trace.column("dist")
+    d = d[~np.isnan(d)]
     if d.size == 0:
         raise ValueError("trace recorded no distance-to-solution data")
     d = d[d > 1e-12]
@@ -456,25 +446,17 @@ def certify_linear_rate(trace: SolverTrace, q_bound: float | None = None) -> Rat
 # trace serialization
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "n,lambda,residual,E_n,dist,elapsed_ms"
+def trace_to_csv(trace: SolverTrace) -> str:
+    """Render the trace as CSV text under a :data:`TRACE_COLUMNS` header.
 
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def trace_to_csv(trace: SolverTrace, measured_timing: bool = False) -> str:
-    """Render the trace as CSV text.
-
-    By default the timing column is canonicalized to zero so replays of
-    the same seeded run are byte-identical; pass ``measured_timing=True``
-    to keep wall-clock values.  The terminal status and evaluation
+    The timing column is canonicalized to zero so replays of the same
+    seeded run are byte-identical; measured per-row times go to
+    :func:`write_trace_jsonl`.  The terminal status and evaluation
     counters ride in a ``#``-prefixed footer.
     """
-    lines = [_CSV_HEADER]
-    for r in trace.rows:
-        ms = r.elapsed_ms if measured_timing else 0.0
-        lines.append(f"{r.n},{_fmt(r.lambda_n)},{_fmt(r.residual)},{_fmt(r.e_n)},{_fmt(r.dist)},{_fmt(ms)}")
+    lines = [",".join(TRACE_COLUMNS)]
+    for n, *values, _elapsed_ms in trace.rows:
+        lines.append(",".join([str(n), *["" if v is None else repr(float(v)) for v in values], "0.0"]))
     lines.append(
         f"# status={trace.status} forward_evals={trace.forward_evals} "
         f"resolvent_evals={trace.resolvent_evals} tie_breaks={trace.tie_breaks}"
@@ -482,17 +464,17 @@ def trace_to_csv(trace: SolverTrace, measured_timing: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(trace: SolverTrace, path, measured_timing: bool = False) -> None:
+def write_trace_csv(trace: SolverTrace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_csv(trace, measured_timing=measured_timing))
+        fh.write(trace_to_csv(trace))
 
 
 def read_trace_csv(path) -> SolverTrace:
-    """Parse a trace CSV written by :func:`write_trace_csv` (lossless)."""
+    """Parse a trace CSV written by :func:`write_trace_csv`; only ``dist`` may be empty."""
     trace = SolverTrace()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != _CSV_HEADER:
+        if header != ",".join(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {header!r}")
         for line in fh:
             line = line.strip()
@@ -507,24 +489,17 @@ def read_trace_csv(path) -> SolverTrace:
                         setattr(trace, key, int(val))
                 continue
             cols = line.split(",")
-            if len(cols) != 6:
+            if len(cols) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row: {line!r}")
-            trace.rows.append(
-                TraceRow(
-                    n=int(cols[0]),
-                    lambda_n=float(cols[1]),
-                    residual=float(cols[2]),
-                    e_n=float(cols[3]),
-                    dist=None if cols[4] == "" else float(cols[4]),
-                    elapsed_ms=float(cols[5]),
-                )
-            )
+            n, lam, residual, e_n, dist, elapsed_ms = cols
+            dist = None if dist == "" else float(dist)
+            trace.rows.append((int(n), float(lam), float(residual), float(e_n), dist, float(elapsed_ms)))
     return trace
 
 
 def write_trace_jsonl(trace: SolverTrace, path) -> None:
-    """One JSON object per row, then a summary record with the status."""
+    """One JSON object per row (measured ``elapsed_ms``), then a summary record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in trace.rows:
-            fh.write(json.dumps(r.to_dict()) + "\n")
+            fh.write(json.dumps(dict(zip(TRACE_COLUMNS, r))) + "\n")
         fh.write(json.dumps(trace.summary()) + "\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ def test_solve_writes_artifacts_and_converges(affine_config, tmp_path):
     assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
     trace = read_trace_csv(out / "trace.csv")
     assert trace.status == "tolerance_met"
-    assert trace.rows[-1].e_n <= 1e-3
+    assert trace.row(-1)["E_n"] <= 1e-3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "tolerance_met"
     assert summary["iterations"] == len(trace)
@@ -127,7 +128,7 @@ def test_single_point_sweep_matches_solve(sweep_config, affine_config, tmp_path)
     assert main(["solve", "--config", solo, "--out", str(out2), "--quiet"]) == 0
     trace = read_trace_csv(out2 / "trace.csv")
     assert int(row[2]) == len(trace)
-    assert float(row[4]) == trace.rows[-1].e_n
+    assert float(row[4]) == trace.row(-1)["E_n"]
 
 
 def test_validate_pass_and_fail(tmp_path, affine_config):
@@ -277,7 +278,7 @@ def test_lasso_config_runs(tmp_path):
     out = tmp_path / "lasso_out"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     trace = read_trace_csv(out / "trace.csv")
-    assert trace.rows[-1].e_n <= 1e-5
+    assert trace.row(-1)["E_n"] <= 1e-5
 
 
 def test_summary_norms_match_weighted_trace(tmp_path):
@@ -295,10 +296,10 @@ def test_summary_norms_match_weighted_trace(tmp_path):
     )
     out = tmp_path / "l2_out"
     main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
-    last = read_trace_csv(out / "trace.csv").rows[-1]
+    last = read_trace_csv(out / "trace.csv").row(-1)
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["dist_to_solution"] == last.dist
-    assert summary["solution_norm"] == last.e_n
+    assert summary["dist_to_solution"] == last["dist"]
+    assert summary["solution_norm"] == last["E_n"]
 
 
 ORTHANT = {
@@ -342,6 +343,54 @@ def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+STRONG = json.loads((Path(__file__).resolve().parent.parent / "configs" / "oracle_strong_linear.json").read_text())
+
+MISSPELLED = {
+    "sequence_valu": ("schedules", "alpha", {"kind": "constant", "valu": 0.9}),
+    "solver_max_iter": ("solver", "max_iter", 3),
+    "schedules_lamda1": ("schedules", "lamda1", 5),
+    "params_rh0": ("problem", "params", {"m": 10, "rho": 1.0, "rh0": 5}),
+    "top_level_sweeep": (None, "sweeep", {"axes": []}),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case", sorted(MISSPELLED))
+def test_unknown_config_key_exits_2(case, command, tmp_path, capsys):
+    section, key, value = MISSPELLED[case]
+    cfg = json.loads(json.dumps(STRONG))
+    (cfg if section is None else cfg[section])[key] = value
+    out = ["--out", str(tmp_path / "o"), "--quiet"] if command == "solve" else []
+    assert main([command, "--config", write_config(tmp_path, "typo.json", cfg), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown key" in err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_every_shipped_config_loads():
+    from tsengsplit.cli import load_config
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+        load_config(path)
+
+
+def test_out_pointing_at_a_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    assert main(["solve", "--config", orthant_config(tmp_path), "--out", str(target), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert target.read_text() == "not a directory\n"
+
+
+def test_infinite_problem_param_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(STRONG))
+    cfg["problem"]["params"]["rho"] = math.inf  # written as the JSON token Infinity
+    path = write_config(tmp_path, "inf.json", cfg)
+    assert "Infinity" in Path(path).read_text()
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("flags", [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "1"]])
 def test_bad_flag_value_exits_2(flags, tmp_path, capsys):
     command, *rest = flags
@@ -370,9 +419,15 @@ def test_diverged_solve_leaves_summary_and_validation(case, tmp_path):
     last = summary["last_row"]
     if case == "huge_step":
         assert last is None
+        assert summary["iterations"] == 0 and summary["final_metric"] is None
     else:
-        assert {"n", "lambda", "residual", "E_n", "dist"} <= set(last)
+        assert list(last) == ["n", "lambda", "residual", "E_n", "dist", "elapsed_ms"]
         assert last["n"] > 1 and math.isfinite(last["E_n"])
+        assert summary["iterations"] == last["n"] and summary["final_metric"] == last["E_n"]
+    # the failing iteration's forward and resolvent calls are counted too
+    assert summary["resolvent_evals"] == summary["iterations"] + 1
+    assert summary["forward_evals"] - 2 * summary["iterations"] in (1, 2)
+    assert summary["label"] == summary["problem"]
     validation = json.loads((out / "validation.json").read_text())
     assert "c3" in validation
     assert not (out / "trace.csv").exists()

@@ -134,7 +134,7 @@ def test_solve_matches_reference_bit_for_bit(case, stop_rule):
     config = SolverConfig(schedules=schedule(sched_name), max_iters=300, tol=1e-7, stop_rule=stop_rule, **extra)
     x_ref, rows_ref, status, fwd, res, ties = reference_solve(problem, config)
     x, trace = solve(problem, config)
-    assert [(r.n, r.lambda_n, r.residual, r.e_n, r.dist) for r in trace.rows] == rows_ref
+    assert [r[:5] for r in trace.rows] == rows_ref
     assert (trace.status, trace.forward_evals, trace.resolvent_evals, trace.tie_breaks) == (status, fwd, res, ties)
     assert np.array_equal(x, x_ref)
     if case == "orthant_exact_stop":
