@@ -46,6 +46,8 @@ from .schedules import (
 from .solver import (
     STATUS_BUDGET,
     STATUS_DIVERGED,
+    STATUS_EXACT,
+    STATUS_TOL,
     DivergenceError,
     Problem,
     SolverConfig,
@@ -65,6 +67,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+# a run's terminal status -> exit code; a sweep exits with the worst of its points
+EXIT_BY_STATUS = {STATUS_EXACT: EXIT_OK, STATUS_TOL: EXIT_OK, STATUS_BUDGET: EXIT_FAIL, STATUS_DIVERGED: EXIT_DIVERGED}
 
 # each problem family and the params it reads
 PROBLEM_PARAMS = {
@@ -153,6 +157,7 @@ def load_config(path) -> ExperimentConfig:
         for ax in axis_specs:
             _object(ax, "sweep axis", ("param", "values"))
             _require(ax.get("param") in SWEEPABLE, f"sweep param must be one of {SWEEPABLE}")
+            _require(all(a.param != ax["param"] for a in axes), f"sweep param {ax['param']!r} appears twice")
             values = ax.get("values")
             _require(isinstance(values, list) and len(values) > 0, "sweep axis needs a nonempty value list")
             axes.append(SweepAxis(param=ax["param"], values=[float(v) for v in values]))
@@ -177,6 +182,7 @@ def _schedules_from_config(spec: dict) -> ScheduleSet:
         if not spec:
             return base
         merged = base.to_dict()
+        merged["label"] = ""  # the preset's name no longer describes an overridden set
         merged.update(spec)
         spec = merged
     return ScheduleSet.from_dict(spec)
@@ -209,10 +215,9 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
             reg_scale=float(p.get("reg_scale", 0.01)),
         )
     elif cfg.family == "affine_vi":
-        q = p.get("q", "zero")
-        q_vec = None if q == "zero" else np.asarray(q, dtype=float)
-        m_mat = np.eye(int(p["m"])) if p.get("identity") else None
-        _, prob = gen_affine_vi(rng, m=int(p.get("m", 50)), q=q_vec, m_matrix=m_mat)
+        q, m = p.get("q", "zero"), int(p.get("m", 50))
+        m_mat = np.eye(m) if p.get("identity") else None
+        _, prob = gen_affine_vi(rng, m=m, q=None if q == "zero" else q, m_matrix=m_mat)
     elif cfg.family == "l2_vi":
         _, prob = gen_l2_vi(m=int(p.get("m", 200)), case_id=int(p.get("case", 1)))
     elif cfg.family == "oracle_strong":
@@ -237,11 +242,12 @@ def _validation_payload(cfg: ExperimentConfig, problem: Problem, horizon: int | 
     fwd = problem.forward
     s = cfg.schedules
     consts = all(seq.kind == "constant" for seq in (s.alpha, s.beta, s.theta))
+    # the modulus first: without it no strong report is made and L goes unread
     if (
         consts
-        and fwd.lipschitz is not None
         and fwd.strong_monotone_modulus is not None
         and fwd.strong_monotone_modulus > 0
+        and fwd.lipschitz is not None
     ):
         params = StrongParams(
             L=fwd.lipschitz,
@@ -304,26 +310,22 @@ def cmd_solve(args) -> int:
             elapsed_s=time.perf_counter() - t0,
             **run_info,
         )
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-        return EXIT_DIVERGED
-    except ValueError as err:  # a schedule value the step rule rejects mid-run
-        raise ConfigError(f"bad schedule value: {err}") from err
-    elapsed = time.perf_counter() - t0
-
-    write_trace_csv(trace, out / "trace.csv")
-    write_trace_jsonl(trace, out / "trace.jsonl")
-    summary = trace.summary()
-    summary.update(elapsed_s=elapsed, **run_info, solution_norm=norm(x, problem.weights))
-    if problem.known_solution is not None:
-        summary["dist_to_solution"] = norm(x - problem.known_solution, problem.weights)
-    if trace.tie_break_fraction() > 0.01:
-        summary["tie_break_warning"] = (
-            "degenerate step-update branch hit on more than 1% of iterations"
-        )
+    else:
+        elapsed = time.perf_counter() - t0
+        write_trace_csv(trace, out / "trace.csv")
+        write_trace_jsonl(trace, out / "trace.jsonl")
+        summary = trace.summary()
+        summary.update(elapsed_s=elapsed, **run_info, solution_norm=norm(x, problem.weights))
+        if problem.known_solution is not None:
+            summary["dist_to_solution"] = norm(x - problem.known_solution, problem.weights)
+        if trace.tie_break_fraction() > 0.01:
+            summary["tie_break_warning"] = (
+                "degenerate step-update branch hit on more than 1% of iterations"
+            )
+        if not args.quiet:
+            print(json.dumps(summary, indent=2))
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    if not args.quiet:
-        print(json.dumps(summary, indent=2))
-    return EXIT_OK if trace.status in ("tolerance_met", "exact_solution") else EXIT_FAIL
+    return EXIT_BY_STATUS[trace.status]
 
 
 def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
@@ -349,13 +351,8 @@ def cmd_sweep(args) -> int:
             _, trace = solve(problem, run_cfg)
         except DivergenceError as err:
             trace = err.trace
-        except ValueError as err:
-            raise ConfigError(f"bad schedule value: {err}") from err
         elapsed = time.perf_counter() - t0
-        if trace.status == STATUS_DIVERGED:
-            worst = EXIT_DIVERGED
-        elif trace.status == STATUS_BUDGET:
-            worst = max(worst, EXIT_FAIL)
+        worst = max(worst, EXIT_BY_STATUS[trace.status])
         rows.append(
             {
                 "point": point,

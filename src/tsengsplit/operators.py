@@ -14,6 +14,7 @@ and certificates only; the solver itself never needs them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -146,8 +147,8 @@ def soft_threshold_resolvent(rho: float) -> Resolvent:
 
     ``eval(x, lam)_i = sign(x_i) * max(|x_i| - lam*rho, 0)``.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
     def fn(x: Vector, lam: float) -> Vector:
         if not lam > 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Matrix, RngStream, Vector, uniform_matrix
+from .linalg import Matrix, RngStream, Vector, as_vector, uniform_matrix
 from .operators import (
     affine_forward,
     least_squares_gradient,
@@ -105,8 +105,8 @@ def gen_lasso(
     """
     if not (0 < k < m_rows < n_cols):
         raise ValueError(f"need 0 < k < m_rows < n_cols, got ({k}, {m_rows}, {n_cols})")
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
+    if not 0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     gen = rng.generator()
     a_mat = gen.standard_normal((m_rows, n_cols))
     support = gen.choice(n_cols, size=k, replace=False)
@@ -167,7 +167,7 @@ def gen_affine_vi(
         q_vec = np.zeros(m)
         known = np.zeros(m)
     else:
-        q_vec = np.asarray(q, dtype=float)
+        q_vec = as_vector(q, name="q")
         known = None
         off_diag = m_mat - np.diag(np.diag(m_mat))
         if m_matrix is not None and not off_diag.any() and (np.diag(m_mat) > 0).all():

@@ -22,7 +22,9 @@ convergence regime (admissible inertia/relaxation schedules).
 :func:`validate_strong` checks the stricter constant-parameter regime
 under which the iteration contracts linearly, and reports the admissible
 relaxation interval and the contraction factor.  Validators never block a
-solve; they produce reports.
+solve; they produce reports.  What no run can use (a non-finite number, a
+step parameter outside the step rule's domain) is refused when the
+objects are built, so a schedule that constructs is one the solver runs.
 """
 
 from __future__ import annotations
@@ -79,8 +81,13 @@ class SequenceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.value, self.a, self.b, self.c))):
+            raise ValueError(f"{self.kind} sequence parameters must be finite")
         if self.kind == "rational" and self.c + 1 <= 0:
             raise ValueError("rational sequence needs c + n > 0 for all n >= 1")
+        # every member is monotone between its first term and its finite limit
+        if not math.isfinite(self.at(1)):
+            raise ValueError(f"{self.kind} sequence overflows at n = 1")
 
     def at(self, n: int) -> float:
         if n < 1:
@@ -180,12 +187,18 @@ class ScheduleSet:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if not self.lambda1 > 0.0:
-            raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
-        if not self.theta_floor > 0.0:
-            raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 < self.lambda1 < math.inf:
+            raise ValueError(f"lambda1 must be positive and finite, got {self.lambda1}")
+        if not 0.0 < self.theta_floor < math.inf:
+            raise ValueError(f"theta_floor must be positive and finite, got {self.theta_floor}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        # the step rule needs mu_n, p_n >= 0 for all n >= 1; each sequence is
+        # monotone, so its first term and its limit bound it from below
+        for name in ("mu_seq", "p_seq"):
+            seq = getattr(self, name)
+            if min(seq.at(1), seq.limit()) < 0.0:
+                raise ValueError(f"{name} must stay nonnegative, got {seq.to_dict()}")
 
     def to_dict(self) -> dict:
         return {
@@ -297,8 +310,8 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
          exceed 1 unless beta is identically zero, in which case any
          epsilon >= 0 is admissible
     iv   (1-theta_n)*beta_n + theta_n*alpha_n is nondecreasing
-    v    the step increments are nonnegative and summable, and the
-         safety-factor relaxations converge to zero
+    v    the step increments are summable and the safety-factor
+         relaxations converge to zero (both are nonnegative by construction)
 
     Failures are report entries, never exceptions; the solver accepts
     non-validated schedules (exploratory runs are legitimate).
@@ -376,20 +389,15 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
 
     # (v) summable step growth, vanishing safety relaxation
     bad = None
-    detail_parts = []
-    neg = next((n for n in ns if s.p_seq.at(n) < 0.0 or s.mu_seq.at(n) < 0.0), None)
-    if neg is not None:
-        bad = neg
-        detail_parts.append(f"negative increment at n = {neg}")
     # the sequence family is closed, so the series sum decides summability exactly
     total = s.p_seq.series_sum()
     if math.isfinite(total):
-        detail_parts.append(f"sum of step increments = {total:.6g}")
+        detail_parts = [f"sum of step increments = {total:.6g}"]
     else:
-        bad = bad or ns[-1]
-        detail_parts.append("step increments not summable")
-    if s.mu_seq.limit() != 0.0 or abs(s.mu_seq.at(horizon)) > 1e-3:
-        bad = bad or ns[-1]
+        bad = ns[-1]
+        detail_parts = ["step increments not summable"]
+    if s.mu_seq.limit() != 0.0 or s.mu_seq.at(horizon) > 1e-3:
+        bad = ns[-1]
         detail_parts.append(
             f"safety relaxation does not vanish (limit {s.mu_seq.limit():g}, "
             f"value {s.mu_seq.at(horizon):g} at the horizon)"

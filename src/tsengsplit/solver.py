@@ -83,7 +83,9 @@ class SolverError(RuntimeError):
 
 
 class DivergenceError(SolverError):
-    """An iterate left the finite floats; carries the partial, ``diverged`` trace."""
+    """An iterate or the step size left the finite floats; carries the partial,
+    ``diverged`` trace.  The one way a solve on a constructed schedule fails
+    numerically."""
 
     def __init__(self, message: str, trace: "SolverTrace"):
         super().__init__(message)
@@ -154,8 +156,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}")
 
@@ -220,30 +222,6 @@ def _all_finite(v: Vector, zeros: Vector) -> bool:
     return not math.isnan(v.dot(zeros))
 
 
-def _step_rule(
-    lambda_n: float, mu: float, mu_n: float, p_n: float, residual: float, da: float, naw: float
-) -> tuple[float, bool]:
-    """The adaptive step rule from one iteration's norms.
-
-    ``residual = ||w - y||``, ``da = ||A(w) - A(y)||`` and ``naw = ||A(w)||``.
-    Returns ``(lambda_{n+1}, tie)``: ``min((mu + mu_n)*residual/da,
-    lambda_n + p_n)``, or ``lambda_n + p_n`` with ``tie`` set when the two
-    forward values coincide numerically.
-    """
-    if not (math.isfinite(lambda_n) and math.isfinite(mu) and math.isfinite(mu_n) and math.isfinite(p_n)):
-        raise NonFiniteError("step rule received non-finite scalars")
-    if not lambda_n > 0:
-        raise ValueError("lambda_n must be positive")
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    if mu_n < 0 or p_n < 0:
-        raise ValueError("mu_n and p_n must be nonnegative")
-    grown = lambda_n + p_n
-    if da <= TIE_REL * (1.0 + naw):
-        return grown, True
-    return min((mu + mu_n) * residual / da, grown), False
-
-
 def solve(
     problem: Problem,
     config: SolverConfig,
@@ -303,20 +281,27 @@ def solve(
                     ay = forward(y)
                     forward_evals += 1
                     d_a = ay - aw
-                    lam_next, tie = _step_rule(lam, mu, mu_n, p_n, residual, norm(d_a, wts), norm(aw, wts))
-                    tie_breaks += tie
+                    # the step rule: grow by p_n, or shrink to the observed ratio
+                    lam_next = lam + p_n
+                    da = norm(d_a, wts)
+                    if da <= TIE_REL * (1.0 + norm(aw, wts)):
+                        tie_breaks += 1  # the forward values coincide: no ratio to take
+                    else:
+                        lam_next = min((mu + mu_n) * residual / da, lam_next)
                     corrected = y - lam * d_a
                     x_next = (1.0 - theta_n) * z + theta_n * corrected
-                    if not (_all_finite(x_next, zeros) and math.isfinite(lam_next)):
-                        raise DivergenceError(f"non-finite iterate at iteration {n}", trace)
-                    if not lam_next > 0:
-                        raise ValueError("step size must stay positive")
+                    if not (_all_finite(x_next, zeros) and 0.0 < lam_next < math.inf):
+                        raise DivergenceError(
+                            f"non-finite iterate or step size (next lambda {lam_next!r}) at iteration {n}", trace
+                        )
                     if check_descent:
-                        coef = 1.0 - ((mu + mu_n) * lam / lam_next) ** 2
+                        # squares by multiplication: an overflow reads inf, never raises
+                        ratio = (mu + mu_n) * lam / lam_next
+                        coef = 1.0 - ratio * ratio
                         if coef >= 0.0:
-                            gap_w = norm(w - p_star, wts) ** 2
-                            lhs = norm(corrected - p_star, wts) ** 2
-                            rhs = gap_w - coef * residual**2 + 1e-8 * (1.0 + gap_w)
+                            gap_w, gap_c = norm(w - p_star, wts), norm(corrected - p_star, wts)
+                            gap_w, lhs = gap_w * gap_w, gap_c * gap_c
+                            rhs = gap_w - coef * residual * residual + 1e-8 * (1.0 + gap_w)
                             if lhs > rhs:
                                 raise DescentViolationError(
                                     f"descent inequality violated at iteration {n}: {lhs!r} > {rhs!r}"

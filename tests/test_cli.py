@@ -332,6 +332,10 @@ MALFORMED = {
     "sweep_value_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["abc"]}]}}),
     "sweep_axis_number": ("sweep", {"sweep": {"axes": [3]}}),
     "sweep_mu_out_of_range": ("sweep", {"sweep": {"axes": [{"param": "mu", "values": [0.5, 1.5]}]}}),
+    # would run theta = 0.6 twice and never 0.5 or 0.75
+    "sweep_axis_repeated": ("sweep", {"sweep": {"axes": [
+        {"param": "theta", "values": [0.5, 0.75]}, {"param": "theta", "values": [0.6]},
+    ]}}),
 }
 
 
@@ -383,15 +387,90 @@ def test_out_pointing_at_a_file_exits_2(tmp_path, capsys):
 
 
 def test_infinite_problem_param_exits_2(tmp_path, capsys):
-    cfg = json.loads(json.dumps(STRONG))
-    cfg["problem"]["params"]["rho"] = math.inf  # written as the JSON token Infinity
-    path = write_config(tmp_path, "inf.json", cfg)
-    assert "Infinity" in Path(path).read_text()
-    assert main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    small_lasso = {"k": 3, "m_rows": 16, "n_cols": 32}
+    cases = [
+        ("oracle_strong", {"m": 10, "rho": math.inf}),
+        ("lasso", {**small_lasso, "reg": math.inf}),  # would zero every iterate
+        ("lasso", {**small_lasso, "reg_scale": math.inf}),
+        ("lasso", {**small_lasso, "noise_var": math.nan}),  # would run noise-free
+        ("affine_vi", {"m": 4, "q": [math.inf, 0.0, 0.0, 0.0]}),
+    ]
+    for i, (family, params) in enumerate(cases):
+        cfg = json.loads(json.dumps(STRONG))
+        cfg["problem"] = {"family": family, "params": params}
+        path = write_config(tmp_path, "inf.json", cfg)  # written as the JSON token Infinity or NaN
+        assert "Infinity" in Path(path).read_text() or "NaN" in Path(path).read_text()
+        out = tmp_path / f"o{i}"
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 2, params
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "validation.json").exists()
+
+
+def test_affine_identity_without_m_uses_the_default_dimension(tmp_path):
+    from tsengsplit.cli import build_problem, load_config
+
+    cfg = json.loads(json.dumps(ORTHANT))
+    cfg["problem"] = {"family": "affine_vi", "params": {"identity": True, "q": [-1.0] * 50}}
+    prob = build_problem(load_config(write_config(tmp_path, "eye.json", cfg)))
+    assert prob.dimension == 50
+    assert (prob.known_solution == 1.0).all()
+
+
+UNUSABLE_SCHEDULES = {
+    **{
+        f"{key}_{value}": {key: {"kind": "constant", "value": value}}
+        for key in ("alpha", "theta", "mu_seq", "p_seq")
+        for value in (math.inf, math.nan)
+    },
+    "lambda1_inf": {"lambda1": math.inf},
+    "epsilon_inf": {"epsilon": math.inf},
+    "theta_floor_inf": {"theta_floor": math.inf},
+    "mu_seq_turns_negative": {"mu_seq": {"kind": "rational", "a": -0.1, "b": 1.0, "c": 0.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_SCHEDULES))
+def test_unusable_schedule_exits_2_before_any_output(case, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = orthant_config(tmp_path, schedules=UNUSABLE_SCHEDULES[case])
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "validation.json").exists()
 
 
-@pytest.mark.parametrize("flags", [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "1"]])
+def test_preset_label_kept_only_when_unmodified(tmp_path):
+    def run(name, schedules):
+        out = tmp_path / name
+        cfg = orthant_config(tmp_path, schedules=schedules)
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        return json.loads((out / "summary.json").read_text()), json.loads((out / "validation.json").read_text())
+
+    summary, validation = run("plain", {})
+    assert summary["schedules"] == validation["c3"]["label"] == "paper_default"
+    # an overridden preset is no longer the named one: the summary spells it out
+    summary, validation = run("mu", {"mu": 0.4})
+    assert summary["schedules"]["mu"] == 0.4 and summary["schedules"]["label"] == ""
+    assert validation["c3"]["label"] == ""
+    summary, validation = run("labelled", {"mu": 0.4, "label": "mine"})
+    assert summary["schedules"] == validation["c3"]["label"] == "mine"
+
+
+@pytest.mark.parametrize(
+    "schedules", [{"mu_seq": {"kind": "constant", "value": 1e200}}, {"lambda1": 1e200}], ids=["mu_seq", "lambda1"]
+)
+def test_descent_check_on_huge_legal_schedule_keeps_the_exit_contract(schedules, tmp_path):
+    # squaring (mu + mu_n)*lambda_n/lambda_{n+1} with ** once raised OverflowError here
+    cfg = json.loads(json.dumps(STRONG))
+    cfg["schedules"].update(schedules)
+    cfg["solver"]["assert_descent"] = True
+    path = write_config(tmp_path, "descent.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) in (0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "1"], ["solve", "--tol", "inf"]],
+)
 def test_bad_flag_value_exits_2(flags, tmp_path, capsys):
     command, *rest = flags
     out = ["--out", str(tmp_path / "o")] if command == "solve" else []

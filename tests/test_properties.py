@@ -1,5 +1,7 @@
-"""Property tests: the trace record round-trips through its files, and no
-config, however malformed, makes the CLI leave its documented exit codes."""
+"""Property tests: the trace record round-trips through its files, no
+config, however malformed, makes the CLI leave its documented exit codes,
+and every schedule that constructs runs with its step inside the interval
+of the paper's step-size lemma."""
 
 import contextlib
 import io
@@ -8,10 +10,27 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsengsplit import TRACE_COLUMNS, SolverTrace, read_trace_csv, write_trace_csv, write_trace_jsonl
+from tsengsplit import (
+    TRACE_COLUMNS,
+    DivergenceError,
+    RngStream,
+    ScheduleSet,
+    SolverConfig,
+    SolverTrace,
+    constant,
+    gen_oracle_strong,
+    inverse_square,
+    one_minus_pow10,
+    rational,
+    read_trace_csv,
+    solve,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 from tsengsplit.cli import main
 
 # derandomized, so every run of the suite checks the same examples
@@ -121,3 +140,56 @@ def test_fuzzed_config_keeps_the_exit_code_contract(family, preset, edits):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)  # a traceback fails the test
     assert code in (0, 1, 2, 3)
+
+
+# --- the step-size interval ------------------------------------------------------
+
+SCALARS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e-300, 1e300, -1e300])
+SEQUENCE_FAMILY = (
+    st.builds(constant, SCALARS)
+    # c > -1 keeps every c + n positive
+    | st.builds(rational, SCALARS, SCALARS, st.floats(-0.99, 1e3))
+    | st.builds(one_minus_pow10)
+    | st.builds(inverse_square)
+)
+
+
+def _schedule_or_none(**fields):
+    try:
+        return ScheduleSet(**fields)
+    except ValueError:  # e.g. a mu_seq or p_seq that goes negative
+        return None
+
+
+SCHEDULE_SETS = st.builds(
+    _schedule_or_none,
+    alpha=SEQUENCE_FAMILY,
+    beta=SEQUENCE_FAMILY,
+    theta=SEQUENCE_FAMILY,
+    mu_seq=SEQUENCE_FAMILY,
+    p_seq=SEQUENCE_FAMILY,
+    mu=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    lambda1=st.floats(1e-6, 10.0) | st.sampled_from([1e-300, 1e300]),
+    epsilon=st.floats(0.0, 3.0),
+    theta_floor=st.floats(1e-3, 1.0),
+).filter(lambda s: s is not None)
+
+
+@SETTINGS
+@given(sched=SCHEDULE_SETS, seed=st.integers(0, 2**32), m=st.integers(1, 8), rho=st.floats(0.1, 10.0))
+def test_step_stays_in_the_lemma_interval(sched, seed, m, rho):
+    # gen_oracle_strong knows its Lipschitz constant L exactly
+    prob = gen_oracle_strong(RngStream(seed), m=m, rho=rho)
+    cfg = SolverConfig(schedules=sched, max_iters=200, tol=1e-300)
+    try:
+        _, trace = solve(prob, cfg)  # any other exception fails the test
+        assert trace.status in ("tolerance_met", "exact_solution", "max_iters")
+    except DivergenceError as err:
+        trace = err.trace
+        assert trace.status == "diverged"
+    lams = trace.lambdas()
+    # lambda_n lies in [min(mu/L, lambda1), lambda1 + sum_{k<n} p_k]
+    lower = min(sched.mu / prob.forward.lipschitz, sched.lambda1)
+    grown = np.cumsum([sched.lambda1] + [sched.p_seq.at(k) for k in range(1, len(lams))])
+    assert (lams >= lower * (1.0 - 1e-12)).all()
+    assert (lams <= grown * (1.0 + 1e-12)).all()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,65 @@ def test_beta_bound_range_on_grid():
     # grid the maximizer sits at the right endpoint, so the check is vacuous
     k = int(vals.argmax())
     assert (np.diff(vals[k:]) <= 0).all()
+
+
+# --- legal by construction -----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sequence_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        constant(bad)
+    for params in ((bad, 1.0, 0.0), (0.0, bad, 0.0), (0.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            rational(*params)
+    with pytest.raises(ValueError, match="finite"):
+        SequenceSpec.from_dict({"kind": "constant", "value": bad})
+
+
+def test_sequence_rejects_overflowing_first_term():
+    # finite parameters, but b/(c + 1) = 1e310 is not a float
+    with pytest.raises(ValueError, match="overflows"):
+        rational(0.0, 1e300, -1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("field", ["lambda1", "epsilon", "theta_floor"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_schedule_set_rejects_non_finite_scalars(field, bad):
+    with pytest.raises(ValueError, match=field):
+        replace(preset("paper_default"), **{field: bad})
+
+
+NEGATIVE_SOMEWHERE = {
+    "constant": constant(-0.1),
+    "negative_limit": rational(-0.1, 1.0, 0.0),  # 0.4 at n = 1, tends to -0.1
+    "negative_start": rational(0.1, -1.0, 0.0),  # -0.4 at n = 1, tends to 0.1
+}
+
+
+@pytest.mark.parametrize("field", ["mu_seq", "p_seq"])
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SOMEWHERE))
+def test_schedule_set_rejects_step_sequences_that_go_negative(field, case):
+    with pytest.raises(ValueError, match=f"{field} must stay nonnegative"):
+        replace(preset("paper_default"), **{field: NEGATIVE_SOMEWHERE[case]})
+
+
+def test_schedule_set_accepts_boundary_step_sequences():
+    for seq in (constant(0.0), rational(0.0, 1.0, 0.0), rational(0.1, -0.2, 1.0), inverse_square()):
+        replace(preset("paper_default"), mu_seq=seq, p_seq=seq)
+
+
+def test_schedule_set_keeps_what_the_validators_only_flag():
+    # each of these is a report entry, not a construction error
+    flagged = [
+        ("i", _custom(alpha=constant(1.5), beta=constant(0.0), theta=constant(0.4))),
+        ("ii", _custom(alpha=constant(0.5), beta=constant(-0.1), theta=constant(0.4))),
+        ("iii", _custom(alpha=constant(-0.2), beta=constant(0.0), theta=constant(-0.3))),
+        ("iii", _custom(alpha=constant(0.5), beta=constant(0.05), theta=constant(0.9))),  # above its cap
+        ("v", _custom(alpha=constant(0.5), beta=constant(0.0), theta=constant(0.4), p_seq=constant(0.1))),
+    ]
+    for clause, s in flagged:
+        assert not validate_c3(s, horizon=1000).clause(clause).passed, clause
 
 
 # --- weak-regime validation ----------------------------------------------------

@@ -48,12 +48,25 @@ def identity_resolvent():
 
 
 def test_step_update_rejects_non_finite():
-    prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
-    cfg = SolverConfig(schedules=flat_schedule(p=constant(math.inf)), max_iters=10, tol=1e-30)
-    with pytest.raises(DivergenceError, match="non-finite scalars") as exc:
+    # an infinite growth increment is refused when the schedule is built, not mid-run
+    with pytest.raises(ValueError, match="finite"):
+        flat_schedule(p=constant(math.inf))
+
+
+def test_step_underflow_is_divergence():
+    # ||w - y|| / ||A(w) - A(y)|| = 2.5e-151, times mu = 1e-180 underflows to a zero step:
+    # a numerical failure of a legal schedule, reported like any other divergence
+    prob = Problem(
+        forward=ForwardOperator(fn=lambda x: np.where(x == 1.0, 1.0, 1e150)),
+        backward=identity_resolvent(),
+        dimension=1,
+        x0=np.ones(1),
+        x1=np.ones(1),
+    )
+    cfg = SolverConfig(schedules=flat_schedule(mu=1e-180), max_iters=10, tol=1e-30)
+    with pytest.raises(DivergenceError, match=r"next lambda 0\.0\) at iteration 1") as exc:
         solve(prob, cfg)
-    assert exc.value.trace.rows == []
-    assert exc.value.trace.status == "diverged"
+    assert exc.value.trace.status == "diverged" and exc.value.trace.rows == []
 
 
 # --- first iterations by hand ---------------------------------------------------
