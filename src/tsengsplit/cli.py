@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="validate the configured schedules")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--horizon", type=int, default=None, help="validation horizon (default 10^6)")
+    sp.add_argument("--horizon", type=int, default=None, help="sampling horizon of clause (iv) (default 10^6)")
 
     sp = sub.add_parser("certify", help="run a rate certificate on a trace CSV")
     sp.add_argument("--trace", required=True, help="path to a trace CSV")

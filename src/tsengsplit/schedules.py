@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "SequenceSpec",
@@ -164,6 +165,17 @@ def inverse_square() -> SequenceSpec:
 _ZERO = constant(0.0)
 
 
+def _ends(seq: SequenceSpec) -> tuple[float, float]:
+    """First term and limit of a family member: its range and its direction.
+
+    Every member runs monotonically from its first term to its finite
+    limit, so every term lies between the two, and the member is
+    nondecreasing exactly when ``first <= limit``.  Rounding is monotone,
+    so the float terms the solver evaluates obey the same.
+    """
+    return seq.at(1), seq.limit()
+
+
 # ---------------------------------------------------------------------------
 # schedule sets
 # ---------------------------------------------------------------------------
@@ -193,11 +205,10 @@ class ScheduleSet:
             raise ValueError(f"theta_floor must be positive and finite, got {self.theta_floor}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
-        # the step rule needs mu_n, p_n >= 0 for all n >= 1; each sequence is
-        # monotone, so its first term and its limit bound it from below
+        # the step rule needs mu_n, p_n >= 0 for all n >= 1
         for name in ("mu_seq", "p_seq"):
             seq = getattr(self, name)
-            if min(seq.at(1), seq.limit()) < 0.0:
+            if min(_ends(seq)) < 0.0:
                 raise ValueError(f"{name} must stay nonnegative, got {seq.to_dict()}")
 
     def to_dict(self) -> dict:
@@ -264,10 +275,10 @@ class ClauseResult:
         }
 
 
-@dataclass
-class ValidationReport:
+class _ClauseReport:
+    """Verdict, clause lookup and JSON shared by the validator reports."""
+
     clauses: list[ClauseResult]
-    label: str = ""
 
     @property
     def passed(self) -> bool:
@@ -279,11 +290,17 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "passed": self.passed, "clauses": [c.to_dict() for c in self.clauses]}
-
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+
+@dataclass
+class ValidationReport(_ClauseReport):
+    clauses: list[ClauseResult]
+    label: str = ""
+
+    def to_dict(self) -> dict:
+        return {"label": self.label, "passed": self.passed, "clauses": [c.to_dict() for c in self.clauses]}
 
 
 def _sample_indices(horizon: int) -> list[int]:
@@ -296,16 +313,40 @@ def _sample_indices(horizon: int) -> list[int]:
     return out
 
 
+def _range_clause(
+    clause: str, name: str, seq: SequenceSpec, inside: Callable[[float], bool], bounds: str, nondecreasing: bool
+) -> ClauseResult:
+    """Every term of ``seq`` passes ``inside`` (the interval ``bounds``) and,
+    if asked, the sequence is nondecreasing; decided from :func:`_ends`.
+
+    The limit stands for the supremum or infimum the terms approach, so a
+    strict bound there is one on that supremum or infimum.
+    """
+    first, lim = _ends(seq)
+    if not inside(first):
+        return ClauseResult(clause, False, 1, f"{name}_1 = {first!r} outside {bounds}")
+    if nondecreasing and first > lim:
+        return ClauseResult(clause, False, 1, f"{name} decreases from {name}_1 = {first!r} to its limit {lim!r}")
+    if not inside(lim):
+        return ClauseResult(clause, False, None, f"{name} tends to {lim!r}, outside {bounds}")
+    shape = "nondecreasing from" if nondecreasing else "from"
+    return ClauseResult(clause, True, None, f"{name}_n {shape} {first:.6g} to its limit {lim:.6g}, inside {bounds}")
+
+
 def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
     """Check the admissibility conditions for the weak-convergence regime.
 
-    Clauses, each checked pointwise at geometrically spaced indices up to
-    ``horizon`` (monotonicity at consecutive pairs) plus closed-form limits
-    where the sequence family provides them:
+    Clauses (i)-(iii) and (v) are decided exactly: every family member
+    runs monotonically from its first term to its limit, so the two give
+    each sequence's range and direction, and the series sum decides
+    summability.  Only clause (iv), which blends three sequences, is
+    sampled: at consecutive pairs from geometrically spaced indices up to
+    ``horizon``.
 
     i    0 <= alpha_n <= 1
-    ii   beta_n nondecreasing with supremum strictly below the epsilon cap
-         (auto-satisfied when beta is identically zero)
+    ii   beta_n nondecreasing from a nonnegative first term, with
+         supremum strictly below the epsilon cap (auto-satisfied when
+         beta is identically zero)
     iii  theta_floor < theta_n <= theta_{n+1} <= 1/(1+epsilon); epsilon must
          exceed 1 unless beta is identically zero, in which case any
          epsilon >= 0 is admissible
@@ -313,96 +354,63 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
     v    the step increments are summable and the safety-factor
          relaxations converge to zero (both are nonnegative by construction)
 
+    A failing clause's ``first_violation_index`` is 1 when the first
+    term already breaks it or the sequence runs the wrong way, ``None``
+    when only the limit does (its ``detail`` then names the limit), and
+    for clause (iv) the sampled index where the blend first decreases.
+
     Failures are report entries, never exceptions; the solver accepts
     non-validated schedules (exploratory runs are legitimate).
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    ns = _sample_indices(horizon)
     relaxed = s.beta.is_identically_zero()
-    tol = 1e-12
-
-    clauses: list[ClauseResult] = []
 
     # (i) primary inertia within [0, 1]
-    bad = next((n for n in ns if not -tol <= s.alpha.at(n) <= 1.0 + tol), None)
-    clauses.append(
-        ClauseResult("i", bad is None, bad, "0 <= alpha_n <= 1" if bad is None else f"alpha_{bad} = {s.alpha.at(bad)!r} outside [0, 1]")
-    )
+    clauses = [_range_clause("i", "alpha", s.alpha, lambda x: 0.0 <= x <= 1.0, "[0, 1]", False)]
 
     # (ii) secondary inertia: nonnegative, nondecreasing, capped
-    if relaxed:
-        clauses.append(ClauseResult("ii", True, None, "beta identically zero: cap not binding"))
-    else:
-        bad = next((n for n in ns if s.beta.at(n) < -tol), None)
-        detail = ""
-        if bad is None:
-            bad = next((n for n in ns if s.beta.at(n + 1) < s.beta.at(n) - tol), None)
-            if bad is not None:
-                detail = f"beta not nondecreasing at n = {bad}"
-        else:
-            detail = f"beta_{bad} negative"
-        if bad is None:
-            if s.epsilon > 1.0:
-                cap = beta_bound(s.epsilon)
-                sup = max(max(s.beta.at(n) for n in ns), s.beta.limit())
-                if sup >= cap:
-                    bad = ns[-1]
-                    detail = f"sup beta = {sup:.6g} not strictly below cap {cap:.6g}"
-                else:
-                    detail = f"sup beta = {sup:.6g} < cap {cap:.6g}"
-            else:
-                bad = 1
-                detail = f"epsilon = {s.epsilon} must exceed 1 when beta is not identically zero"
-        clauses.append(ClauseResult("ii", bad is None, bad, detail))
-
     # (iii) relaxation weights: floored, nondecreasing, capped by 1/(1+epsilon)
     if relaxed or s.epsilon > 1.0:
-        cap = 1.0 / (1.0 + s.epsilon)
-        bad = None
-        detail = f"theta_floor = {s.theta_floor:.6g}, cap = {cap:.6g}"
-        for n in ns:
-            th, th_next = s.theta.at(n), s.theta.at(n + 1)
-            if not (s.theta_floor < th + tol and th <= th_next + tol and th <= cap + tol):
-                bad = n
-                detail = f"theta_{n} = {th!r} violates floor/monotonicity/cap (cap = {cap:.6g})"
-                break
+        if relaxed:
+            clauses.append(ClauseResult("ii", True, None, "beta identically zero: cap not binding"))
+        else:
+            beta_cap = beta_bound(s.epsilon)
+            clauses.append(
+                _range_clause("ii", "beta", s.beta, lambda x: 0.0 <= x < beta_cap, f"[0, {beta_cap:.6g})", True)
+            )
+        floor, theta_cap = s.theta_floor, 1.0 / (1.0 + s.epsilon)
+        bounds = f"({floor:.6g}, {theta_cap:.6g}]"
+        clauses.append(_range_clause("iii", "theta", s.theta, lambda x: floor < x <= theta_cap, bounds, True))
     else:
-        bad = 1
         detail = f"epsilon = {s.epsilon} must exceed 1 when beta is not identically zero"
-    clauses.append(ClauseResult("iii", bad is None, bad, detail))
+        clauses += [ClauseResult("ii", False, 1, detail), ClauseResult("iii", False, 1, detail)]
 
-    # (iv) blended inertia nondecreasing
+    # (iv) blended inertia nondecreasing, sampled
     def blended(n: int) -> float:
         th = s.theta.at(n)
         return (1.0 - th) * s.beta.at(n) + th * s.alpha.at(n)
 
-    bad = next((n for n in ns if blended(n + 1) < blended(n) - tol * (1.0 + abs(blended(n)))), None)
+    ns = _sample_indices(horizon)
+    bad = next((n for n in ns if blended(n + 1) < blended(n) - 1e-12 * (1.0 + abs(blended(n)))), None)
     clauses.append(
         ClauseResult(
             "iv",
             bad is None,
             bad,
-            "blended inertia nondecreasing" if bad is None else f"decreases between n = {bad} and {bad + 1}",
+            f"blended inertia nondecreasing at {len(ns)} sampled indices up to n = {horizon}"
+            if bad is None
+            else f"decreases between n = {bad} and {bad + 1} (sampled up to n = {horizon})",
         )
     )
 
     # (v) summable step growth, vanishing safety relaxation
-    bad = None
-    # the sequence family is closed, so the series sum decides summability exactly
     total = s.p_seq.series_sum()
-    if math.isfinite(total):
-        detail_parts = [f"sum of step increments = {total:.6g}"]
-    else:
-        bad = ns[-1]
-        detail_parts = ["step increments not summable"]
-    if s.mu_seq.limit() != 0.0 or s.mu_seq.at(horizon) > 1e-3:
-        bad = ns[-1]
-        detail_parts.append(
-            f"safety relaxation does not vanish (limit {s.mu_seq.limit():g}, "
-            f"value {s.mu_seq.at(horizon):g} at the horizon)"
-        )
-    clauses.append(ClauseResult("v", bad is None, bad, "; ".join(detail_parts)))
+    detail_parts = [f"sum of step increments = {total:.6g}" if math.isfinite(total) else "step increments not summable"]
+    mu_limit = s.mu_seq.limit()
+    if mu_limit != 0.0:
+        detail_parts.append(f"safety relaxation does not vanish (limit {mu_limit:g})")
+    clauses.append(ClauseResult("v", math.isfinite(total) and mu_limit == 0.0, None, "; ".join(detail_parts)))
 
     return ValidationReport(clauses=clauses, label=s.label)
 
@@ -447,22 +455,12 @@ class StrongParams:
 
 
 @dataclass
-class StrongReport:
+class StrongReport(_ClauseReport):
     tau: float
     lambda_hat: float
     clauses: list[ClauseResult]
     theta_interval: tuple[float, float] | None
     q: float | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    def clause(self, name: str) -> ClauseResult:
-        for c in self.clauses:
-            if c.clause == name:
-                return c
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
@@ -473,9 +471,6 @@ class StrongReport:
             "theta_interval": list(self.theta_interval) if self.theta_interval else None,
             "q": self.q,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def contraction_factor(tau: float, alpha: float, beta: float, theta: float) -> float:

@@ -2,8 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
 
@@ -38,6 +40,7 @@ def test_solve_writes_artifacts_and_converges(affine_config, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "tolerance_met"
     assert summary["iterations"] == len(trace)
+    assert "tie_break_warning" not in summary
     validation = json.loads((out / "validation.json").read_text())
     assert validation["c3"]["passed"] is True
     assert (out / "trace.jsonl").exists()
@@ -319,6 +322,26 @@ def orthant_config(tmp_path, **overrides):
         else:
             cfg[key] = value
     return write_config(tmp_path, "orthant.json", cfg)
+
+
+def test_tie_breaks_on_a_constant_forward_map_warn_in_the_summary(tmp_path, monkeypatch):
+    # A(w) = A(y) on every step: each iteration but the exact stop takes the tie branch
+    def constant_problem(cfg):
+        return Problem(
+            forward=ForwardOperator(fn=np.ones_like),
+            backward=projector_as_resolvent(orthant_projector(2)),
+            dimension=2,
+            x0=np.ones(2),
+            x1=np.ones(2),
+        )
+
+    monkeypatch.setattr(cli, "build_problem", constant_problem)
+    out = tmp_path / "ties"
+    cfg = orthant_config(tmp_path, schedules={"preset": "tseng_plain"})
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["status"], summary["iterations"], summary["tie_breaks"]) == ("exact_solution", 11, 10)
+    assert summary["tie_break_warning"].startswith("degenerate step-update branch")
 
 
 MALFORMED = {

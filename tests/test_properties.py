@@ -1,17 +1,19 @@
 """Property tests: the trace record round-trips through its files, no
 config, however malformed, makes the CLI leave its documented exit codes,
-and every schedule that constructs runs with its step inside the interval
-of the paper's step-size lemma."""
+every schedule that constructs runs with its step inside the interval of
+the paper's step-size lemma, and the exact weak-regime clauses agree with
+dense evaluation of the sequences."""
 
 import contextlib
 import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tsengsplit import (
@@ -21,13 +23,16 @@ from tsengsplit import (
     ScheduleSet,
     SolverConfig,
     SolverTrace,
+    beta_bound,
     constant,
     gen_oracle_strong,
     inverse_square,
     one_minus_pow10,
+    preset,
     rational,
     read_trace_csv,
     solve,
+    validate_c3,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -193,3 +198,46 @@ def test_step_stays_in_the_lemma_interval(sched, seed, m, rho):
     grown = np.cumsum([sched.lambda1] + [sched.p_seq.at(k) for k in range(1, len(lams))])
     assert (lams >= lower * (1.0 - 1e-12)).all()
     assert (lams <= grown * (1.0 + 1e-12)).all()
+
+
+# --- the exact weak-regime clauses ------------------------------------------------
+
+# every term up to 10^4, two far terms, then the limit
+DENSE_N = [*range(1, 10**4 + 1), 10**9, 10**12]
+
+
+def _dense(seq):
+    return [seq.at(n) for n in DENSE_N] + [seq.limit()]
+
+
+def _nondecreasing(terms):
+    return all(a <= b for a, b in zip(terms, terms[1:]))
+
+
+@SETTINGS
+@given(s=SCHEDULE_SETS)
+# each passed the sampled validator: alpha_n > 1 only beyond n = 10^7, beta_n falls by ~5e-15 a step
+@example(s=replace(preset("paper_default"), alpha=rational(1 + 1e-7, -1.0, 0.0)))
+@example(s=replace(preset("paper_default"), beta=rational(0.05, 0.5, 1e7)))
+# passes every clause; every beta_n stays below the cap, but their supremum reaches it
+@example(s=preset("paper_default"))
+@example(s=replace(preset("paper_default"), beta=rational(beta_bound(1.2), -0.01, 0.0)))
+def test_exact_clauses_agree_with_dense_evaluation(s):
+    p_far = s.p_seq.at(10**9), s.p_seq.at(10**12)
+    # a member whose terms underflow to zero is summable in floats only
+    assume(p_far[0] > 0.0 or s.p_seq.is_identically_zero())
+    alpha, beta, theta = _dense(s.alpha), _dense(s.beta), _dense(s.theta)
+    relaxed = s.beta.is_identically_zero()
+    eps_ok = relaxed or s.epsilon > 1.0
+    theta_cap = 1.0 / (1.0 + s.epsilon)
+    dense = {
+        "i": all(0.0 <= a <= 1.0 for a in alpha),
+        "ii": relaxed
+        or (eps_ok and _nondecreasing(beta) and min(beta) >= 0.0 and max(beta) < beta_bound(s.epsilon)),
+        "iii": eps_ok and _nondecreasing(theta) and all(s.theta_floor < t <= theta_cap for t in theta),
+        # the summable members decay like 1/n^2 (or are zero), the others like 1/n at best,
+        # so n^2 p_n holds still between n = 10^9 and 10^12 exactly when p_n is summable
+        "v": p_far[1] * 1e6 <= 2.0 * p_far[0] and s.mu_seq.limit() == 0.0,
+    }
+    report = validate_c3(s)
+    assert {name: report.clause(name).passed for name in dense} == dense

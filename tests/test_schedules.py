@@ -215,6 +215,26 @@ def test_validate_nonvanishing_safety_relaxation_fails():
     assert not validate_c3(s).clause("v").passed
 
 
+def test_validate_decides_from_the_first_term_and_the_limit():
+    base = preset("paper_default")
+    # alpha_n = 1 + 1e-7 - 1/n leaves [0, 1] only beyond n = 10^7: its limit breaks (i)
+    bad = validate_c3(replace(base, alpha=rational(1 + 1e-7, -1.0, 0.0))).clause("i")
+    assert (bad.passed, bad.first_violation_index) == (False, None)
+    assert bad.detail == "alpha tends to 1.0000001, outside [0, 1]"
+    # beta_n = 0.05 + 0.5/(1e7 + n) drops by ~5e-15 per step: its direction breaks (ii)
+    bad = validate_c3(replace(base, beta=rational(0.05, 0.5, 1e7))).clause("ii")
+    assert (bad.passed, bad.first_violation_index) == (False, 1)
+    # a first term outside [0, 1] is the first violation
+    bad = validate_c3(replace(base, alpha=constant(1.5))).clause("i")
+    assert (bad.passed, bad.first_violation_index) == (False, 1)
+    # every term stays below the cap, but the supremum reaches it
+    cap = beta_bound(base.epsilon)
+    bad = validate_c3(replace(base, beta=rational(cap, -0.01, 0.0))).clause("ii")
+    assert (bad.passed, bad.first_violation_index) == (False, None)
+    # 10^4/n vanishes, however slowly
+    assert validate_c3(replace(base, mu_seq=rational(0.0, 1e4, 0.0))).clause("v").passed
+
+
 def test_blended_inertia_nondecreasing_for_passing_sets():
     for s in (preset("paper_default"), preset("chc_relaxed")):
         ns = range(1, 2000)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsengsplit import (
+    DescentViolationError,
     DivergenceError,
     ForwardOperator,
     Problem,
@@ -18,7 +19,9 @@ from tsengsplit import (
     gen_oracle_strong,
     inverse_square,
     oracle_orthant_vi,
+    orthant_projector,
     preset,
+    projector_as_resolvent,
     read_trace_csv,
     solve,
     write_trace_csv,
@@ -65,6 +68,18 @@ def test_step_underflow_is_divergence():
     )
     cfg = SolverConfig(schedules=flat_schedule(mu=1e-180), max_iters=10, tol=1e-30)
     with pytest.raises(DivergenceError, match=r"next lambda 0\.0\) at iteration 1") as exc:
+        solve(prob, cfg)
+    assert exc.value.trace.status == "diverged" and exc.value.trace.rows == []
+
+
+def test_non_finite_forward_value_is_divergence():
+    prob = Problem(
+        forward=ForwardOperator(fn=lambda x: np.full_like(x, np.inf)),
+        backward=identity_resolvent(),
+        dimension=2,
+    )
+    cfg = SolverConfig(schedules=flat_schedule(), max_iters=10, tol=1e-8)
+    with pytest.raises(DivergenceError, match="non-finite operator value at iteration 1$") as exc:
         solve(prob, cfg)
     assert exc.value.trace.status == "diverged" and exc.value.trace.rows == []
 
@@ -228,6 +243,22 @@ def test_descent_assertion_holds_on_oracle():
     )
     x, trace = solve(prob, cfg)  # raises DescentViolationError on failure
     assert trace.status in ("tolerance_met", "exact_solution")
+
+
+def test_descent_assertion_fires_on_a_non_monotone_map():
+    # A(x) = -x is not monotone, yet 0 still solves the orthant problem:
+    # the first step moves away from it and breaks the descent inequality
+    prob = Problem(
+        forward=ForwardOperator(fn=lambda x: -x),
+        backward=projector_as_resolvent(orthant_projector(2)),
+        dimension=2,
+        known_solution=np.zeros(2),
+        x0=np.ones(2),
+        x1=np.ones(2),
+    )
+    cfg = SolverConfig(schedules=preset("tseng_plain"), max_iters=50, tol=1e-12, assert_descent=True)
+    with pytest.raises(DescentViolationError, match="at iteration 1:"):
+        solve(prob, cfg)
 
 
 def test_divergence_raises_with_diagnostics():
