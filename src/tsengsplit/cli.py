@@ -80,7 +80,12 @@ PROBLEM_PARAMS = {
 }
 PROBLEM_FAMILIES = tuple(PROBLEM_PARAMS)
 SCHEDULE_KEYS = ("preset", *(f.name for f in fields(ScheduleSet)))
-SOLVER_KEYS = ("max_iters", "tol", "stop_rule", "assert_descent", "record_distance")
+SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "schedules")
+# config keys read as integers (``20.0`` counts, ``20.5`` and ``true`` do not),
+# as true/false, and as floats (a null ``reg`` is derived from ``reg_scale``)
+INTEGER_KEYS = ("version", "seed", "max_iters", "k", "m_rows", "n_cols", "m", "case")
+FLAG_KEYS = ("assert_descent", "record_distance", "identity")
+FLOAT_KEYS = ("tol", "noise_var", "reg", "reg_scale", "rho")
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
 
 
@@ -99,7 +104,6 @@ class ExperimentConfig:
     seed: int
     family: str
     problem_params: dict
-    schedules: ScheduleSet
     solver: SolverConfig
     sweep_axes: list[SweepAxis]
 
@@ -117,16 +121,29 @@ def _object(spec, where: str, keys) -> dict:
     return spec
 
 
+def _typed(key: str, value):
+    """``value`` as the type config key ``key`` reads."""
+    if key in INTEGER_KEYS:
+        integral = type(value) is int or (type(value) is float and value.is_integer())
+        _require(integral, f"'{key}' must be an integer, got {value!r}")
+        return int(value)
+    if key in FLAG_KEYS:
+        _require(type(value) is bool, f"'{key}' must be true or false, got {value!r}")
+    elif key in FLOAT_KEYS and not (key == "reg" and value is None):
+        return float(value)
+    return value
+
+
 @contextlib.contextmanager
 def _config_boundary(what: str):
-    """Report a malformed value met while converting user input as a
-    :class:`ConfigError` (exit 2) instead of a traceback; used as a
-    decorator on the conversion functions."""
+    """Report a malformed value in user input, or an output file that
+    cannot be written, as a :class:`ConfigError` (exit 2) instead of a
+    traceback; used on the conversion functions and the artifact writes."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError) as err:
+    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError, OSError) as err:
         raise ConfigError(f"{what}: {type(err).__name__}: {err}") from err
 
 
@@ -139,15 +156,16 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     _object(raw, "config", ("version", "seed", "problem", "schedules", "solver", "sweep"))
-    _require(int(raw.get("version", CONFIG_VERSION)) == CONFIG_VERSION, "unsupported config version")
+    _require(_typed("version", raw.get("version", CONFIG_VERSION)) == CONFIG_VERSION, "unsupported config version")
 
-    prob = _object(raw.get("problem"), "problem", ("family", "params", "seed"))
+    prob = _object(raw.get("problem"), "problem", ("family", "params"))
     family = prob.get("family")
     _require(family in PROBLEM_FAMILIES, f"problem.family must be one of {PROBLEM_FAMILIES}")
-    seed = int(raw.get("seed", prob.get("seed", 0)))
 
     schedules = _schedules_from_config(raw.get("schedules", {"preset": "paper_default"}))
-    solver_cfg = _solver_from_config(raw.get("solver", {}), schedules)
+    # only the solver keys the config gives: SolverConfig owns every default
+    solver = _object(raw.get("solver", {}), "solver", SOLVER_KEYS)
+    solver_cfg = SolverConfig(schedules, **{key: _typed(key, v) for key, v in solver.items()})
 
     axes: list[SweepAxis] = []
     sweep = raw.get("sweep")
@@ -165,10 +183,9 @@ def load_config(path) -> ExperimentConfig:
                 apply_sweep_point(schedules, {ax["param"]: v})  # rejects e.g. mu outside (0, 1)
 
     return ExperimentConfig(
-        seed=seed,
+        seed=_typed("seed", raw.get("seed", 0)),
         family=family,
         problem_params=dict(_object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])),
-        schedules=schedules,
         solver=solver_cfg,
         sweep_axes=axes,
     )
@@ -188,40 +205,21 @@ def _schedules_from_config(spec: dict) -> ScheduleSet:
     return ScheduleSet.from_dict(spec)
 
 
-def _solver_from_config(spec: dict, schedules: ScheduleSet) -> SolverConfig:
-    _object(spec, "solver", SOLVER_KEYS)
-    return SolverConfig(
-        schedules=schedules,
-        max_iters=int(spec.get("max_iters", 10_000)),
-        tol=float(spec.get("tol", 1e-5)),
-        stop_rule=spec.get("stop_rule", "step_diff"),
-        assert_descent=bool(spec.get("assert_descent", False)),
-        record_distance=bool(spec.get("record_distance", True)),
-    )
-
-
 @_config_boundary("bad problem params")
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    p = cfg.problem_params
+    # only the params the config gives: gen_lasso and gen_l2_vi own the defaults they declare
+    p = {key: _typed(key, value) for key, value in cfg.problem_params.items()}
     rng = RngStream(cfg.seed)
     if cfg.family == "lasso":
-        _, prob = gen_lasso(
-            rng,
-            k=int(p.get("k", 20)),
-            m_rows=int(p.get("m_rows", 256)),
-            n_cols=int(p.get("n_cols", 512)),
-            noise_var=float(p.get("noise_var", 1e-4)),
-            reg=None if p.get("reg") is None else float(p["reg"]),
-            reg_scale=float(p.get("reg_scale", 0.01)),
-        )
+        _, prob = gen_lasso(rng, **{"k": 20, "m_rows": 256, "n_cols": 512, **p})
     elif cfg.family == "affine_vi":
-        q, m = p.get("q", "zero"), int(p.get("m", 50))
+        q, m = p.get("q", "zero"), p.get("m", 50)
         m_mat = np.eye(m) if p.get("identity") else None
         _, prob = gen_affine_vi(rng, m=m, q=None if q == "zero" else q, m_matrix=m_mat)
     elif cfg.family == "l2_vi":
-        _, prob = gen_l2_vi(m=int(p.get("m", 200)), case_id=int(p.get("case", 1)))
+        _, prob = gen_l2_vi(**{"case_id" if key == "case" else key: v for key, v in p.items()})
     elif cfg.family == "oracle_strong":
-        prob = gen_oracle_strong(rng, m=int(p.get("m", 10)), rho=float(p.get("rho", 1.0)))
+        prob = gen_oracle_strong(rng, m=p.get("m", 10), rho=p.get("rho", 1.0))
     else:
         prob = oracle_orthant_vi(np.asarray(p.get("q", [-1.0, 1.0]), dtype=float))
     return prob
@@ -237,10 +235,10 @@ def apply_sweep_point(schedules: ScheduleSet, point: dict[str, float]) -> Schedu
     return replace(schedules, **updates)
 
 
-def _validation_payload(cfg: ExperimentConfig, problem: Problem, horizon: int | None = None) -> dict:
-    payload = {"c3": validate_c3(cfg.schedules, horizon=horizon or 10**6).to_dict()}
+def _validation_payload(cfg: ExperimentConfig, problem: Problem) -> dict:
+    s = cfg.solver.schedules
+    payload = {"c3": validate_c3(s).to_dict()}
     fwd = problem.forward
-    s = cfg.schedules
     consts = all(seq.kind == "constant" for seq in (s.alpha, s.beta, s.theta))
     # the modulus first: without it no strong report is made and L goes unread
     if (
@@ -271,14 +269,17 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+@_config_boundary("cannot write output")
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
+
+
 @_config_boundary("bad command-line override")
 def _apply_cli_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = int(args.seed)
-    if getattr(args, "max_iters", None) is not None:
-        cfg.solver = replace(cfg.solver, max_iters=int(args.max_iters))
-    if getattr(args, "tol", None) is not None:
-        cfg.solver = replace(cfg.solver, tol=float(args.tol))
+    if args.seed is not None:
+        cfg.seed = args.seed
+    given = {key: getattr(args, key) for key in ("max_iters", "tol")}
+    cfg.solver = replace(cfg.solver, **{key: v for key, v in given.items() if v is not None})
     return cfg
 
 
@@ -290,11 +291,11 @@ def cmd_solve(args) -> int:
     if not args.quiet and not validation["c3"]["passed"]:
         print("warning: schedule failed validation (run continues)", file=sys.stderr)
 
-    (out / "validation.json").write_text(json.dumps(validation, indent=2) + "\n", encoding="utf-8")
+    _write(out / "validation.json", json.dumps(validation, indent=2) + "\n")
     run_info = {
         "seed": cfg.seed,
         "problem": problem.label,
-        "schedules": cfg.schedules.label or cfg.schedules.to_dict(),
+        "schedules": cfg.solver.schedules.label or cfg.solver.schedules.to_dict(),
     }
 
     t0 = time.perf_counter()
@@ -312,8 +313,9 @@ def cmd_solve(args) -> int:
         )
     else:
         elapsed = time.perf_counter() - t0
-        write_trace_csv(trace, out / "trace.csv")
-        write_trace_jsonl(trace, out / "trace.jsonl")
+        with _config_boundary("cannot write output"):
+            write_trace_csv(trace, out / "trace.csv")
+            write_trace_jsonl(trace, out / "trace.jsonl")
         summary = trace.summary()
         summary.update(elapsed_s=elapsed, **run_info, solution_norm=norm(x, problem.weights))
         if problem.known_solution is not None:
@@ -324,7 +326,7 @@ def cmd_solve(args) -> int:
             )
         if not args.quiet:
             print(json.dumps(summary, indent=2))
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     return EXIT_BY_STATUS[trace.status]
 
 
@@ -344,7 +346,7 @@ def cmd_sweep(args) -> int:
     rows = []
     worst = EXIT_OK
     for point in _grid_points(cfg.sweep_axes):
-        sched = apply_sweep_point(cfg.schedules, point)
+        sched = apply_sweep_point(cfg.solver.schedules, point)
         run_cfg = replace(cfg.solver, schedules=sched)
         t0 = time.perf_counter()
         try:
@@ -370,10 +372,10 @@ def cmd_sweep(args) -> int:
         lines.append(
             f"{key},{value},{r['iters']},{r['status']},{r['final_metric']!r},{r['elapsed_s']:.6f}"
         )
-    (out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(out / "sweep_summary.csv", "\n".join(lines) + "\n")
 
     trends = _trend_verdicts(cfg.sweep_axes, rows)
-    (out / "sweep_trends.json").write_text(json.dumps(trends, indent=2) + "\n", encoding="utf-8")
+    _write(out / "sweep_trends.json", json.dumps(trends, indent=2) + "\n")
     if not args.quiet:
         print(json.dumps(trends, indent=2))
     return worst
@@ -411,10 +413,9 @@ def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
 
 
 def cmd_validate(args) -> int:
-    _require(args.horizon is None or args.horizon >= 2, "--horizon must be >= 2")
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    payload = _validation_payload(cfg, problem, horizon=args.horizon)
+    payload = _validation_payload(cfg, problem)
     print(json.dumps(payload, indent=2))
     return EXIT_OK if payload["c3"]["passed"] else EXIT_FAIL
 
@@ -457,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="validate the configured schedules")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--horizon", type=int, default=None, help="sampling horizon of clause (iv) (default 10^6)")
 
     sp = sub.add_parser("certify", help="run a rate certificate on a trace CSV")
     sp.add_argument("--trace", required=True, help="path to a trace CSV")

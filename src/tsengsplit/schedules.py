@@ -230,8 +230,8 @@ class ScheduleSet:
         seqs = {}
         for key in ("alpha", "beta", "theta", "mu_seq", "p_seq"):
             raw = d.get(key, {"kind": "constant", "value": 0.0})
-            if isinstance(raw, (int, float)):
-                raw = {"kind": "constant", "value": float(raw)}
+            if not isinstance(raw, dict):
+                raise ValueError(f"{key} must be an object, got {raw!r}")
             seqs[key] = SequenceSpec.from_dict(raw)
         return ScheduleSet(
             mu=float(d["mu"]),

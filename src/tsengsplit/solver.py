@@ -147,11 +147,11 @@ class Problem:
 @dataclass
 class SolverConfig:
     schedules: ScheduleSet
-    max_iters: int
-    tol: float
+    max_iters: int = 10_000
+    tol: float = 1e-5
     stop_rule: str = "step_diff"
     assert_descent: bool = False
-    record_distance: bool = False
+    record_distance: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:

@@ -359,6 +359,19 @@ MALFORMED = {
     "sweep_axis_repeated": ("sweep", {"sweep": {"axes": [
         {"param": "theta", "values": [0.5, 0.75]}, {"param": "theta", "values": [0.6]},
     ]}}),
+    # flags are true/false only: bool() would read "false" as true
+    "assert_descent_string": ("solve", {"solver": {"assert_descent": "false"}}),
+    "record_distance_string": ("solve", {"solver": {"record_distance": "no"}}),
+    "identity_number": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 2, "identity": 1}}}),
+    # integers may be written 20.0, but int() would truncate 10.9 and read true as 1
+    "seed_fractional": ("solve", {"seed": 3.7}),
+    "version_bool": ("solve", {"version": True}),
+    "max_iters_fractional": ("solve", {"solver": {"max_iters": 200.5}}),
+    "strong_m_fractional": ("solve", {"problem": {"family": "oracle_strong", "params": {"m": 10.9}}}),
+    # the seed is top-level only, and a sequence is always an object
+    "problem_seed": ("solve", {"problem": {"seed": 3}}),
+    "alpha_bare_number": ("solve", {"schedules": {"alpha": 0.5}}),
+    "alpha_bool": ("solve", {"schedules": {"alpha": True}}),
 }
 
 
@@ -407,6 +420,25 @@ def test_out_pointing_at_a_file_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", orthant_config(tmp_path), "--out", str(target), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert target.read_text() == "not a directory\n"
+    # an artifact whose path is taken by a directory cannot be written either
+    sweep = {"axes": [{"param": "theta", "values": [0.3]}]}
+    for command, artifact in [("solve", "validation.json"), ("solve", "trace.csv"), ("sweep", "sweep_summary.csv")]:
+        out = tmp_path / f"{command}_{artifact}"
+        (out / artifact).mkdir(parents=True)
+        cfg = orthant_config(tmp_path, sweep=sweep) if command == "sweep" else orthant_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2, artifact
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output:") and err.count("\n") == 1, err
+
+
+def test_empty_solver_section_takes_every_solver_config_default(tmp_path):
+    from tsengsplit import SolverConfig
+    from tsengsplit.cli import load_config
+
+    cfg = json.loads(json.dumps(ORTHANT))
+    cfg["solver"] = {}
+    solver = load_config(write_config(tmp_path, "defaults.json", cfg)).solver
+    assert solver == SolverConfig(solver.schedules)
 
 
 def test_infinite_problem_param_exits_2(tmp_path, capsys):
@@ -492,13 +524,19 @@ def test_descent_check_on_huge_legal_schedule_keeps_the_exit_contract(schedules,
 
 @pytest.mark.parametrize(
     "flags",
-    [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "1"], ["solve", "--tol", "inf"]],
+    # validate takes no --horizon: clause (iv) is always sampled up to 10^6
+    [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "5"], ["solve", "--tol", "inf"]],
 )
 def test_bad_flag_value_exits_2(flags, tmp_path, capsys):
     command, *rest = flags
     out = ["--out", str(tmp_path / "o")] if command == "solve" else []
-    assert main([command, "--config", orthant_config(tmp_path), *out, *rest]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    try:
+        code = main([command, "--config", orthant_config(tmp_path), *out, *rest])
+    except SystemExit as exc:  # argparse refuses a flag it does not know
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "usage:")) and "Traceback" not in err
 
 
 DIVERGING = {
