@@ -36,7 +36,9 @@ import numpy as np
 from .linalg import RngStream, norm
 from .problems import gen_affine_vi, gen_l2_vi, gen_lasso, gen_oracle_strong, oracle_orthant_vi
 from .schedules import (
+    SEQUENCE_KINDS,
     ScheduleSet,
+    SequenceSpec,
     StrongParams,
     constant,
     preset,
@@ -80,12 +82,17 @@ PROBLEM_PARAMS = {
 }
 PROBLEM_FAMILIES = tuple(PROBLEM_PARAMS)
 SCHEDULE_KEYS = ("preset", *(f.name for f in fields(ScheduleSet)))
+SEQUENCE_KEYS = ("alpha", "beta", "theta", "mu_seq", "p_seq")
 SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "schedules")
 # config keys read as integers (``20.0`` counts, ``20.5`` and ``true`` do not),
-# as true/false, and as floats (a null ``reg`` is derived from ``reg_scale``)
+# as true/false, and as floats, which take JSON numbers only (a null ``reg`` is
+# derived from ``reg_scale``; ``values`` are the entries of a sweep axis)
 INTEGER_KEYS = ("version", "seed", "max_iters", "k", "m_rows", "n_cols", "m", "case")
 FLAG_KEYS = ("assert_descent", "record_distance", "identity")
-FLOAT_KEYS = ("tol", "noise_var", "reg", "reg_scale", "rho")
+FLOAT_KEYS = (
+    *("tol", "noise_var", "reg", "reg_scale", "rho", "mu", "lambda1", "epsilon", "theta_floor", "values"),
+    *(param for params in SEQUENCE_KINDS.values() for param in params),
+)
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
 
 
@@ -130,7 +137,14 @@ def _typed(key: str, value):
     if key in FLAG_KEYS:
         _require(type(value) is bool, f"'{key}' must be true or false, got {value!r}")
     elif key in FLOAT_KEYS and not (key == "reg" and value is None):
+        _require(type(value) in (int, float), f"'{key}' must be a number, got {value!r}")
         return float(value)
+    elif key == "q" and value != "zero":
+        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+        _require(numbers, f"'q' must be a list of numbers (or \"zero\" for affine_vi), got {value!r}")
+        return [float(v) for v in value]
+    elif key == "label":
+        _require(type(value) is str, f"'label' must be a string, got {value!r}")
     return value
 
 
@@ -178,37 +192,48 @@ def load_config(path) -> ExperimentConfig:
             _require(all(a.param != ax["param"] for a in axes), f"sweep param {ax['param']!r} appears twice")
             values = ax.get("values")
             _require(isinstance(values, list) and len(values) > 0, "sweep axis needs a nonempty value list")
-            axes.append(SweepAxis(param=ax["param"], values=[float(v) for v in values]))
+            axes.append(SweepAxis(param=ax["param"], values=[_typed("values", v) for v in values]))
             for v in axes[-1].values:
                 apply_sweep_point(schedules, {ax["param"]: v})  # rejects e.g. mu outside (0, 1)
 
+    params = _object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])
     return ExperimentConfig(
         seed=_typed("seed", raw.get("seed", 0)),
         family=family,
-        problem_params=dict(_object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])),
+        problem_params={key: _typed(key, v) for key, v in params.items()},
         solver=solver_cfg,
         sweep_axes=axes,
     )
 
 
-def _schedules_from_config(spec: dict) -> ScheduleSet:
-    spec = dict(_object(spec, "schedules", SCHEDULE_KEYS))
-    name = spec.pop("preset", None)
-    if name is not None:
-        base = preset(name)
-        if not spec:
-            return base
-        merged = base.to_dict()
-        merged["label"] = ""  # the preset's name no longer describes an overridden set
-        merged.update(spec)
-        spec = merged
-    return ScheduleSet.from_dict(spec)
+def _schedules_from_config(spec) -> ScheduleSet:
+    given = {
+        key: _sequence(key, value) if key in SEQUENCE_KEYS else _typed(key, value)
+        for key, value in _object(spec, "schedules", SCHEDULE_KEYS).items()
+        if key != "preset"
+    }
+    name = spec.get("preset")
+    if name is None:
+        return ScheduleSet(**given)
+    base = preset(name)
+    # the preset's name no longer describes an overridden set
+    return replace(base, **{"label": "", **given}) if given else base
+
+
+def _sequence(key: str, spec) -> SequenceSpec:
+    """The sequence object ``spec``, which holds its kind and that kind's parameters."""
+    _require(isinstance(spec, dict), f"'{key}' must be an object")
+    kind = spec.get("kind")
+    # compared, not hashed: a list given as the kind is refused like any unknown kind
+    _require(kind in tuple(SEQUENCE_KINDS), f"unknown sequence kind {kind!r} in '{key}'")
+    params = _object(spec, key, ("kind", *SEQUENCE_KINDS[kind]))
+    return SequenceSpec(kind, **{param: _typed(param, v) for param, v in params.items() if param != "kind"})
 
 
 @_config_boundary("bad problem params")
 def build_problem(cfg: ExperimentConfig) -> Problem:
     # only the params the config gives: gen_lasso and gen_l2_vi own the defaults they declare
-    p = {key: _typed(key, value) for key, value in cfg.problem_params.items()}
+    p = cfg.problem_params
     rng = RngStream(cfg.seed)
     if cfg.family == "lasso":
         _, prob = gen_lasso(rng, **{"k": 20, "m_rows": 256, "n_cols": 512, **p})
@@ -221,17 +246,12 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     elif cfg.family == "oracle_strong":
         prob = gen_oracle_strong(rng, m=p.get("m", 10), rho=p.get("rho", 1.0))
     else:
-        prob = oracle_orthant_vi(np.asarray(p.get("q", [-1.0, 1.0]), dtype=float))
+        prob = oracle_orthant_vi(p.get("q", [-1.0, 1.0]))
     return prob
 
 
 def apply_sweep_point(schedules: ScheduleSet, point: dict[str, float]) -> ScheduleSet:
-    updates: dict = {}
-    for param, value in point.items():
-        if param in ("alpha", "beta", "theta"):
-            updates[param] = constant(value)
-        else:
-            updates[param] = float(value)
+    updates = {param: constant(v) if param in SEQUENCE_KEYS else v for param, v in point.items()}
     return replace(schedules, **updates)
 
 

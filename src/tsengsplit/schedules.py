@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 __all__ = [
+    "SEQUENCE_KINDS",
     "SequenceSpec",
     "constant",
     "rational",
@@ -59,7 +60,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # each kind of the family and the parameters it reads
-_KINDS = {"constant": ("value",), "rational": ("a", "b", "c"), "one_minus_pow10": (), "inverse_square": ()}
+SEQUENCE_KINDS = {"constant": ("value",), "rational": ("a", "b", "c"), "one_minus_pow10": (), "inverse_square": ()}
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class SequenceSpec:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in SEQUENCE_KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not all(map(math.isfinite, (self.value, self.a, self.b, self.c))):
             raise ValueError(f"{self.kind} sequence parameters must be finite")
@@ -127,22 +128,7 @@ class SequenceSpec:
         return False
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "constant":
-            d["value"] = self.value
-        elif self.kind == "rational":
-            d.update(a=self.a, b=self.b, c=self.c)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SequenceSpec":
-        kind = d.get("kind")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown sequence kind {kind!r}")
-        unknown = sorted(set(d) - {"kind", *_KINDS[kind]})
-        if unknown:
-            raise ValueError(f"unknown key(s) in a {kind} sequence: {', '.join(unknown)}")
-        return SequenceSpec(kind, **{key: float(d.get(key, 0.0)) for key in _KINDS[kind]})
+        return {"kind": self.kind, **{key: getattr(self, key) for key in SEQUENCE_KINDS[self.kind]}}
 
 
 def constant(v: float) -> SequenceSpec:
@@ -181,19 +167,23 @@ def _ends(seq: SequenceSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScheduleSet:
-    """All per-iteration parameters of the solver, evaluated lazily at n."""
+    """All per-iteration parameters of the solver, evaluated lazily at n.
 
-    alpha: SequenceSpec
-    beta: SequenceSpec
+    ``theta``, ``mu`` and ``lambda1`` are required; every other field has
+    a default, so a set names only what it uses.
+    """
+
+    alpha: SequenceSpec = _ZERO
+    beta: SequenceSpec = _ZERO
     theta: SequenceSpec
-    mu_seq: SequenceSpec
-    p_seq: SequenceSpec
+    mu_seq: SequenceSpec = _ZERO
+    p_seq: SequenceSpec = _ZERO
     mu: float
     lambda1: float
-    epsilon: float
-    theta_floor: float
+    epsilon: float = 1.2
+    theta_floor: float = 0.01
     label: str = ""
 
     def __post_init__(self):
@@ -212,35 +202,8 @@ class ScheduleSet:
                 raise ValueError(f"{name} must stay nonnegative, got {seq.to_dict()}")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.to_dict(),
-            "beta": self.beta.to_dict(),
-            "theta": self.theta.to_dict(),
-            "mu_seq": self.mu_seq.to_dict(),
-            "p_seq": self.p_seq.to_dict(),
-            "mu": self.mu,
-            "lambda1": self.lambda1,
-            "epsilon": self.epsilon,
-            "theta_floor": self.theta_floor,
-            "label": self.label,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScheduleSet":
-        seqs = {}
-        for key in ("alpha", "beta", "theta", "mu_seq", "p_seq"):
-            raw = d.get(key, {"kind": "constant", "value": 0.0})
-            if not isinstance(raw, dict):
-                raise ValueError(f"{key} must be an object, got {raw!r}")
-            seqs[key] = SequenceSpec.from_dict(raw)
-        return ScheduleSet(
-            mu=float(d["mu"]),
-            lambda1=float(d["lambda1"]),
-            epsilon=float(d.get("epsilon", 1.2)),
-            theta_floor=float(d.get("theta_floor", 0.01)),
-            label=str(d.get("label", "")),
-            **seqs,
-        )
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: v.to_dict() if isinstance(v, SequenceSpec) else v for key, v in d.items()}
 
 
 def beta_bound(epsilon: float) -> float:
@@ -341,7 +304,7 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
     each sequence's range and direction, and the series sum decides
     summability.  Only clause (iv), which blends three sequences, is
     sampled: at consecutive pairs from geometrically spaced indices up to
-    ``horizon``.
+    ``horizon``, with no tolerance, so any sampled drop fails it.
 
     i    0 <= alpha_n <= 1
     ii   beta_n nondecreasing from a nonnegative first term, with
@@ -392,7 +355,7 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
         return (1.0 - th) * s.beta.at(n) + th * s.alpha.at(n)
 
     ns = _sample_indices(horizon)
-    bad = next((n for n in ns if blended(n + 1) < blended(n) - 1e-12 * (1.0 + abs(blended(n)))), None)
+    bad = next((n for n in ns if blended(n + 1) < blended(n)), None)
     clauses.append(
         ClauseResult(
             "iv",
@@ -570,11 +533,7 @@ def _presets() -> dict[str, ScheduleSet]:
     return {
         # no inertia, no relaxation: the classical adaptive-step baseline
         "tseng_plain": ScheduleSet(
-            alpha=_ZERO,
-            beta=_ZERO,
             theta=constant(1.0),
-            mu_seq=_ZERO,
-            p_seq=_ZERO,
             mu=0.9,
             lambda1=0.1,
             epsilon=0.0,
@@ -584,10 +543,7 @@ def _presets() -> dict[str, ScheduleSet]:
         # single constant inertia with constant under-relaxation
         "chc_relaxed": ScheduleSet(
             alpha=constant(0.3),
-            beta=_ZERO,
             theta=constant(0.4),
-            mu_seq=_ZERO,
-            p_seq=_ZERO,
             mu=0.9,
             lambda1=1.0,
             epsilon=1.5,
@@ -597,10 +553,7 @@ def _presets() -> dict[str, ScheduleSet]:
         # inertia factor reused as the relaxation weight
         "akh": ScheduleSet(
             alpha=constant(0.3),
-            beta=_ZERO,
             theta=constant(0.3),
-            mu_seq=_ZERO,
-            p_seq=_ZERO,
             mu=0.3,
             lambda1=1.0,
             epsilon=2.0,
@@ -616,7 +569,6 @@ def _presets() -> dict[str, ScheduleSet]:
             p_seq=inverse_square(),
             mu=0.9,
             lambda1=0.1,
-            epsilon=1.2,
             theta_floor=0.4,
             label="paper_default",
         ),

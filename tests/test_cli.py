@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent
+from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent, rational
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
 
@@ -372,6 +372,16 @@ MALFORMED = {
     "problem_seed": ("solve", {"problem": {"seed": 3}}),
     "alpha_bare_number": ("solve", {"schedules": {"alpha": 0.5}}),
     "alpha_bool": ("solve", {"schedules": {"alpha": True}}),
+    # floats are JSON numbers: float() would read "0.4" as 0.4 and true as 1.0
+    "mu_string": ("solve", {"schedules": {"mu": "0.4"}}),
+    "tol_bool": ("solve", {"solver": {"tol": True}}),
+    "sequence_value_bool": ("solve", {"schedules": {"alpha": {"kind": "constant", "value": True}}}),
+    "sweep_value_numeric_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["0.5"]}]}}),
+    "q_string": ("solve", {"problem": {"family": "oracle_orthant", "params": {"q": ["-1", 1.0]}}}),
+    "q_bool": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 2, "q": [-1.0, True]}}}),
+    "label_number": ("solve", {"schedules": {"label": 5}}),
+    # without a preset, theta has no default: theta_n = 0 would never apply the forward-backward step
+    "schedules_without_theta": ("solve", {"schedules": {"preset": None, "mu": 0.9, "lambda1": 0.1}}),
 }
 
 
@@ -491,6 +501,17 @@ def test_unusable_schedule_exits_2_before_any_output(case, tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (out / "validation.json").exists()
+
+
+def test_schedules_without_a_preset_take_the_schedule_set_defaults(tmp_path):
+    from tsengsplit import ScheduleSet
+    from tsengsplit.cli import load_config
+
+    theta = {"kind": "rational", "a": 0.45, "b": -1.0, "c": 1000.0}
+    cfg = json.loads(json.dumps(ORTHANT))
+    cfg["schedules"] = {"mu": 0.9, "lambda1": 0.1, "theta": theta}
+    schedules = load_config(write_config(tmp_path, "defaults.json", cfg)).solver.schedules
+    assert schedules == ScheduleSet(mu=0.9, lambda1=0.1, theta=rational(0.45, -1.0, 1000.0))
 
 
 def test_preset_label_kept_only_when_unmodified(tmp_path):

@@ -2,7 +2,8 @@
 config, however malformed, makes the CLI leave its documented exit codes,
 every schedule that constructs runs with its step inside the interval of
 the paper's step-size lemma, and the exact weak-regime clauses agree with
-dense evaluation of the sequences."""
+dense evaluation of the sequences, as the sampled clause (iv) does on
+the indices it samples."""
 
 import contextlib
 import io
@@ -219,6 +220,8 @@ def _nondecreasing(terms):
 # each passed the sampled validator: alpha_n > 1 only beyond n = 10^7, beta_n falls by ~5e-15 a step
 @example(s=replace(preset("paper_default"), alpha=rational(1 + 1e-7, -1.0, 0.0)))
 @example(s=replace(preset("paper_default"), beta=rational(0.05, 0.5, 1e7)))
+# passed (iv) under a relative tolerance: the blend 0.4 alpha_n falls by ~2e-15 a step
+@example(s=replace(preset("chc_relaxed"), alpha=rational(0.3, 0.5, 1e7)))
 # passes every clause; every beta_n stays below the cap, but their supremum reaches it
 @example(s=preset("paper_default"))
 @example(s=replace(preset("paper_default"), beta=rational(beta_bound(1.2), -0.01, 0.0)))
@@ -241,3 +244,15 @@ def test_exact_clauses_agree_with_dense_evaluation(s):
     }
     report = validate_c3(s)
     assert {name: report.clause(name).passed for name in dense} == dense
+
+    # (iv) is sampled at every n <= 64: a reported drop is real, and a drop there is reported
+    def blended(n):
+        return (1.0 - s.theta.at(n)) * s.beta.at(n) + s.theta.at(n) * s.alpha.at(n)
+
+    iv = report.clause("iv")
+    if not iv.passed:
+        bad = iv.first_violation_index
+        assert blended(bad + 1) < blended(bad)
+    first_drop = next((n for n in range(1, 65) if blended(n + 1) < blended(n)), None)
+    if first_drop is not None:
+        assert iv.first_violation_index == first_drop

@@ -19,6 +19,7 @@ from tsengsplit import (
     validate_c3,
     validate_strong,
 )
+from tsengsplit.cli import load_config
 from tsengsplit.schedules import PRESET_NAMES, contraction_factor
 
 
@@ -40,9 +41,14 @@ def test_sequence_limits_and_sums():
     assert math.isinf(constant(0.1).series_sum())
 
 
-def test_sequence_round_trip():
-    for seq in (constant(0.3), rational(0.1, -1, 1000), one_minus_pow10(), inverse_square()):
-        assert SequenceSpec.from_dict(seq.to_dict()) == seq
+def test_sequence_round_trip(tmp_path):
+    # the schedules object summary.json writes is valid config input: every
+    # preset, and so every kind of the family, loads back equal to itself
+    for name in PRESET_NAMES:
+        config = {"problem": {"family": "oracle_orthant"}, "schedules": preset(name).to_dict()}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert load_config(path).solver.schedules == preset(name)
 
 
 def test_sequence_rejects_unknown_kind():
@@ -86,8 +92,6 @@ def test_sequence_rejects_non_finite_parameters(bad):
     for params in ((bad, 1.0, 0.0), (0.0, bad, 0.0), (0.0, 1.0, bad)):
         with pytest.raises(ValueError, match="finite"):
             rational(*params)
-    with pytest.raises(ValueError, match="finite"):
-        SequenceSpec.from_dict({"kind": "constant", "value": bad})
 
 
 def test_sequence_rejects_overflowing_first_term():
@@ -233,6 +237,15 @@ def test_validate_decides_from_the_first_term_and_the_limit():
     assert (bad.passed, bad.first_violation_index) == (False, None)
     # 10^4/n vanishes, however slowly
     assert validate_c3(replace(base, mu_seq=rational(0.0, 1e4, 0.0))).clause("v").passed
+
+
+def test_validate_fails_a_blend_that_falls_by_less_than_a_relative_tolerance():
+    # alpha_n = 0.3 + 0.5/(1e7 + n): the blend 0.4 alpha_n falls by ~2e-15 a step, every step
+    s = replace(preset("chc_relaxed"), alpha=rational(0.3, 0.5, 1e7))
+    rep = validate_c3(s)
+    assert [c.clause for c in rep.clauses if not c.passed] == ["iv"]
+    assert rep.clause("iv").first_violation_index == 1
+    assert rep.clause("iv").detail == "decreases between n = 1 and 2 (sampled up to n = 1000000)"
 
 
 def test_blended_inertia_nondecreasing_for_passing_sets():
