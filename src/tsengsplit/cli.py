@@ -31,8 +31,6 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .linalg import RngStream, norm
 from .problems import gen_affine_vi, gen_l2_vi, gen_lasso, gen_oracle_strong, oracle_orthant_vi
 from .schedules import (
@@ -72,7 +70,7 @@ EXIT_DIVERGED = 3
 # a run's terminal status -> exit code; a sweep exits with the worst of its points
 EXIT_BY_STATUS = {STATUS_EXACT: EXIT_OK, STATUS_TOL: EXIT_OK, STATUS_BUDGET: EXIT_FAIL, STATUS_DIVERGED: EXIT_DIVERGED}
 
-# each problem family and the params it reads
+# each problem family and the params it reads: its generator's keywords, whose defaults it takes
 PROBLEM_PARAMS = {
     "lasso": ("k", "m_rows", "n_cols", "noise_var", "reg", "reg_scale"),
     "affine_vi": ("m", "q", "identity"),
@@ -139,25 +137,28 @@ def _typed(key: str, value):
     elif key in FLOAT_KEYS and not (key == "reg" and value is None):
         _require(type(value) in (int, float), f"'{key}' must be a number, got {value!r}")
         return float(value)
-    elif key == "q" and value != "zero":
+    elif key == "q":
+        if value == "zero":
+            return None
         numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         _require(numbers, f"'q' must be a list of numbers (or \"zero\" for affine_vi), got {value!r}")
         return [float(v) for v in value]
-    elif key == "label":
-        _require(type(value) is str, f"'label' must be a string, got {value!r}")
+    elif key in ("label", "preset"):
+        _require(type(value) is str, f"'{key}' must be a string, got {value!r}")
     return value
 
 
 @contextlib.contextmanager
 def _config_boundary(what: str):
-    """Report a malformed value in user input, or an output file that
-    cannot be written, as a :class:`ConfigError` (exit 2) instead of a
-    traceback; used on the conversion functions and the artifact writes."""
+    """Report a malformed value in user input, a problem size too large to
+    allocate, or an output file that cannot be written, as a
+    :class:`ConfigError` (exit 2) instead of a traceback; used on the
+    conversion functions and the artifact writes."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError, OSError) as err:
+    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError, OSError, MemoryError) as err:
         raise ConfigError(f"{what}: {type(err).__name__}: {err}") from err
 
 
@@ -215,7 +216,7 @@ def _schedules_from_config(spec) -> ScheduleSet:
     name = spec.get("preset")
     if name is None:
         return ScheduleSet(**given)
-    base = preset(name)
+    base = preset(_typed("preset", name))
     # the preset's name no longer describes an overridden set
     return replace(base, **{"label": "", **given}) if given else base
 
@@ -232,22 +233,17 @@ def _sequence(key: str, spec) -> SequenceSpec:
 
 @_config_boundary("bad problem params")
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    # only the params the config gives: gen_lasso and gen_l2_vi own the defaults they declare
     p = cfg.problem_params
     rng = RngStream(cfg.seed)
     if cfg.family == "lasso":
-        _, prob = gen_lasso(rng, **{"k": 20, "m_rows": 256, "n_cols": 512, **p})
-    elif cfg.family == "affine_vi":
-        q, m = p.get("q", "zero"), p.get("m", 50)
-        m_mat = np.eye(m) if p.get("identity") else None
-        _, prob = gen_affine_vi(rng, m=m, q=None if q == "zero" else q, m_matrix=m_mat)
-    elif cfg.family == "l2_vi":
-        _, prob = gen_l2_vi(**{"case_id" if key == "case" else key: v for key, v in p.items()})
-    elif cfg.family == "oracle_strong":
-        prob = gen_oracle_strong(rng, m=p.get("m", 10), rho=p.get("rho", 1.0))
-    else:
-        prob = oracle_orthant_vi(p.get("q", [-1.0, 1.0]))
-    return prob
+        return gen_lasso(rng, **p)[1]
+    if cfg.family == "affine_vi":
+        return gen_affine_vi(rng, **p)[1]
+    if cfg.family == "l2_vi":
+        return gen_l2_vi(**p)[1]
+    if cfg.family == "oracle_strong":
+        return gen_oracle_strong(rng, **p)
+    return oracle_orthant_vi(**p)
 
 
 def apply_sweep_point(schedules: ScheduleSet, point: dict[str, float]) -> ScheduleSet:

@@ -53,44 +53,23 @@ class LassoInstance:
     y: Vector
     x_true: Vector
     reg: float
-    k: int
-    m_rows: int
-    n_cols: int
-    noise_var: float
-    seed: int
 
 
 @dataclass(eq=False)
 class AffineVIInstance:
     m_mat: Matrix
-    q: Vector
-    m: int
-    seed: int
 
 
 @dataclass(eq=False)
 class L2VIInstance:
     grid: Vector
-    weights: Vector
-    b: float
-    x0: Vector
-    x1: Vector
-    case_id: int
-
-
-def _problem_reg(a_mat: Matrix, y: Vector, reg: float | None, reg_scale: float) -> float:
-    if reg is not None:
-        if not reg > 0:
-            raise ValueError("reg must be positive")
-        return float(reg)
-    return float(reg_scale * np.abs(a_mat.T @ y).max())
 
 
 def gen_lasso(
     rng: RngStream,
-    k: int,
-    m_rows: int,
-    n_cols: int,
+    k: int = 20,
+    m_rows: int = 256,
+    n_cols: int = 512,
     noise_var: float = 1e-4,
     reg: float | None = None,
     reg_scale: float = 0.01,
@@ -118,11 +97,13 @@ def gen_lasso(
     y = a_mat @ x_true
     if noise_var > 0:
         y = y + gen.normal(0.0, np.sqrt(noise_var), size=m_rows)
-    reg_val = _problem_reg(a_mat, y, reg, reg_scale)
-    inst = LassoInstance(
-        a_mat=a_mat, y=y, x_true=x_true, reg=reg_val,
-        k=k, m_rows=m_rows, n_cols=n_cols, noise_var=noise_var, seed=rng.seed,
-    )
+    if reg is None:
+        reg_val = float(reg_scale * np.abs(a_mat.T @ y).max())
+    elif reg > 0:
+        reg_val = float(reg)
+    else:
+        raise ValueError("reg must be positive")
+    inst = LassoInstance(a_mat=a_mat, y=y, x_true=x_true, reg=reg_val)
     prob = Problem(
         forward=least_squares_gradient(a_mat, y),
         backward=soft_threshold_resolvent(reg_val),
@@ -136,44 +117,39 @@ def gen_lasso(
 
 def gen_affine_vi(
     rng: RngStream,
-    m: int,
+    m: int = 50,
     q: Vector | None = None,
-    m_matrix: Matrix | None = None,
+    identity: bool = False,
 ) -> tuple[AffineVIInstance, Problem]:
     """Affine variational inequality over the nonnegative orthant.
 
-    Unless overridden, the matrix is ``N N^T + S + D`` with N and the
-    skew part S drawn entrywise uniform on (-5, 5) (S antisymmetrized
+    Unless ``identity`` is set, the matrix is ``N N^T + S + D`` with N and
+    the skew part S drawn entrywise uniform on (-5, 5) (S antisymmetrized
     from a strictly upper-triangular draw) and D diagonal uniform on
     (0, 0.3); this construction is positive definite.  With ``q`` omitted
     the zero vector solves the problem and is registered as the oracle
-    solution.  A diagonal ``m_matrix`` override with explicit ``q`` also
-    has a closed-form solution, which is registered likewise.
+    solution.  The identity matrix with explicit ``q`` has the closed-form
+    solution ``max(0, -q)``, which is registered likewise.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    if m_matrix is None:
+    if identity:
+        m_mat = np.eye(m)
+    else:
         n_mat = uniform_matrix(rng.child(0), m, m, -5.0, 5.0)
         upper = np.triu(uniform_matrix(rng.child(1), m, m, -5.0, 5.0), k=1)
         skew = upper - upper.T
         diag = uniform_matrix(rng.child(2), 1, m, 0.0, 0.3)[0]
         m_mat = n_mat @ n_mat.T + skew + np.diag(diag)
-    else:
-        m_mat = np.asarray(m_matrix, dtype=float)
-        if m_mat.shape != (m, m):
-            raise ValueError(f"m_matrix has shape {m_mat.shape}, expected ({m}, {m})")
 
     if q is None:
         q_vec = np.zeros(m)
         known = np.zeros(m)
     else:
         q_vec = as_vector(q, name="q")
-        known = None
-        off_diag = m_mat - np.diag(np.diag(m_mat))
-        if m_matrix is not None and not off_diag.any() and (np.diag(m_mat) > 0).all():
-            known = np.maximum(0.0, -q_vec / np.diag(m_mat))
+        known = np.maximum(0.0, -q_vec) if identity else None
 
-    inst = AffineVIInstance(m_mat=m_mat, q=q_vec, m=m, seed=rng.seed)
+    inst = AffineVIInstance(m_mat=m_mat)
     prob = Problem(
         forward=affine_forward(m_mat, q_vec),
         backward=projector_as_resolvent(orthant_projector(m)),
@@ -194,30 +170,30 @@ _L2_CASES = {
 }
 
 
-def gen_l2_vi(m: int = 200, case_id: int = 1) -> tuple[L2VIInstance, Problem]:
+def gen_l2_vi(m: int = 200, case: int = 1) -> tuple[L2VIInstance, Problem]:
     """Grid discretization of the integral-constraint variational inequality.
 
     The forward operator is the pointwise positive part and the feasible
     set is ``{x : integral of t*x(t) over [0,1] equals 2}``, realized on a
     uniform m-point grid with composite trapezoid weights baked into every
-    inner product.  The four case ids select the benchmark initial-point
+    inner product.  The four cases select the benchmark initial-point
     pairs.  The discrete problem has the closed-form solution
     ``x*(t) = (2 / <t, t>) * t``, which is registered as the oracle.
     """
     if m < 10:
         raise ValueError("need at least 10 grid points")
-    if case_id not in _L2_CASES:
-        raise ValueError(f"unknown case id {case_id}; choose one of {sorted(_L2_CASES)}")
+    if case not in _L2_CASES:
+        raise ValueError(f"unknown case {case}; choose one of {sorted(_L2_CASES)}")
     grid = np.linspace(0.0, 1.0, m)
     h = grid[1] - grid[0]
     weights = np.full(m, h)
     weights[0] = weights[-1] = h / 2.0
-    f0, f1 = _L2_CASES[case_id]
+    f0, f1 = _L2_CASES[case]
     x0, x1 = f0(grid), f1(grid)
     b = 2.0
     gram = float(np.dot(weights * grid, grid))
     known = (b / gram) * grid
-    inst = L2VIInstance(grid=grid, weights=weights, b=b, x0=x0, x1=x1, case_id=case_id)
+    inst = L2VIInstance(grid=grid)
     prob = Problem(
         forward=pointwise_max_zero(),
         backward=projector_as_resolvent(weighted_hyperplane_projector(grid, b, weights=weights)),
@@ -226,12 +202,12 @@ def gen_l2_vi(m: int = 200, case_id: int = 1) -> tuple[L2VIInstance, Problem]:
         weights=weights,
         x0=x0,
         x1=x1,
-        label=f"l2_vi(m={m},case={case_id})",
+        label=f"l2_vi(m={m},case={case})",
     )
     return inst, prob
 
 
-def gen_oracle_strong(rng: RngStream, m: int, rho: float) -> Problem:
+def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:
     """Strongly monotone oracle: ``A(x) = rho*x + S*x`` with random skew S.
 
     The skew part is antisymmetrized from a strictly upper-triangular
@@ -265,13 +241,13 @@ def gen_oracle_strong(rng: RngStream, m: int, rho: float) -> Problem:
     )
 
 
-def oracle_orthant_vi(q: Vector) -> Problem:
+def oracle_orthant_vi(q: Vector = (-1.0, 1.0)) -> Problem:
     """Closed-form orthant oracle with identity linear part.
 
     For ``A(x) = x + q`` over the nonnegative orthant the solution is
     ``max(0, -q)`` componentwise.
     """
-    q = np.asarray(q, dtype=float)
+    q = as_vector(q, name="q")
     m = q.size
     return Problem(
         forward=affine_forward(np.eye(m), q),

@@ -494,13 +494,12 @@ def find_feasible_strong(
     lambda1_grid: list[float],
     alpha_grid: list[float],
     beta_grid: list[float],
-    theta_grid: list[float] | None = None,
 ) -> list[tuple[StrongParams, StrongReport]]:
     """Grid-search for parameter sets passing :func:`validate_strong`.
 
-    When ``theta_grid`` is omitted, the midpoint of each reported
-    admissible interval is tried.  Results are sorted by contraction
-    factor, best first.
+    For each grid point, the midpoint and the upper end of the reported
+    admissible theta interval are tried.  Results are sorted by
+    contraction factor, best first.
     """
     found: list[tuple[StrongParams, StrongReport]] = []
     for mu in mu_grid:
@@ -508,14 +507,11 @@ def find_feasible_strong(
             for a in alpha_grid:
                 for b in beta_grid:
                     probe = StrongParams(L, r, mu, lam1, a, b, theta_const=0.5)
-                    thetas = theta_grid
-                    if thetas is None:
-                        rep = validate_strong(probe)
-                        if rep.theta_interval is None:
-                            continue
-                        lo, hi = rep.theta_interval
-                        thetas = [0.5 * (lo + hi), hi]
-                    for th in thetas:
+                    interval = validate_strong(probe).theta_interval
+                    if interval is None:
+                        continue
+                    lo, hi = interval
+                    for th in (0.5 * (lo + hi), hi):
                         cand = StrongParams(L, r, mu, lam1, a, b, th)
                         rep = validate_strong(cand)
                         if rep.passed:
@@ -529,58 +525,56 @@ def find_feasible_strong(
 # ---------------------------------------------------------------------------
 
 
-def _presets() -> dict[str, ScheduleSet]:
-    return {
-        # no inertia, no relaxation: the classical adaptive-step baseline
-        "tseng_plain": ScheduleSet(
-            theta=constant(1.0),
-            mu=0.9,
-            lambda1=0.1,
-            epsilon=0.0,
-            theta_floor=0.5,
-            label="tseng_plain",
-        ),
-        # single constant inertia with constant under-relaxation
-        "chc_relaxed": ScheduleSet(
-            alpha=constant(0.3),
-            theta=constant(0.4),
-            mu=0.9,
-            lambda1=1.0,
-            epsilon=1.5,
-            theta_floor=0.2,
-            label="chc_relaxed",
-        ),
-        # inertia factor reused as the relaxation weight
-        "akh": ScheduleSet(
-            alpha=constant(0.3),
-            theta=constant(0.3),
-            mu=0.3,
-            lambda1=1.0,
-            epsilon=2.0,
-            theta_floor=0.15,
-            label="akh",
-        ),
-        # the full double-inertial configuration used by the benchmarks
-        "paper_default": ScheduleSet(
-            alpha=one_minus_pow10(),
-            beta=rational(0.1, -1.0, 1000.0),
-            theta=rational(0.45, -1.0, 1000.0),
-            mu_seq=inverse_square(),
-            p_seq=inverse_square(),
-            mu=0.9,
-            lambda1=0.1,
-            theta_floor=0.4,
-            label="paper_default",
-        ),
-    }
+# built once: a ScheduleSet is frozen, so every caller can share it
+_PRESETS = {
+    # no inertia, no relaxation: the classical adaptive-step baseline
+    "tseng_plain": ScheduleSet(
+        theta=constant(1.0),
+        mu=0.9,
+        lambda1=0.1,
+        epsilon=0.0,
+        theta_floor=0.5,
+        label="tseng_plain",
+    ),
+    # single constant inertia with constant under-relaxation
+    "chc_relaxed": ScheduleSet(
+        alpha=constant(0.3),
+        theta=constant(0.4),
+        mu=0.9,
+        lambda1=1.0,
+        epsilon=1.5,
+        theta_floor=0.2,
+        label="chc_relaxed",
+    ),
+    # inertia factor reused as the relaxation weight
+    "akh": ScheduleSet(
+        alpha=constant(0.3),
+        theta=constant(0.3),
+        mu=0.3,
+        lambda1=1.0,
+        epsilon=2.0,
+        theta_floor=0.15,
+        label="akh",
+    ),
+    # the full double-inertial configuration used by the benchmarks
+    "paper_default": ScheduleSet(
+        alpha=one_minus_pow10(),
+        beta=rational(0.1, -1.0, 1000.0),
+        theta=rational(0.45, -1.0, 1000.0),
+        mu_seq=inverse_square(),
+        p_seq=inverse_square(),
+        mu=0.9,
+        lambda1=0.1,
+        theta_floor=0.4,
+        label="paper_default",
+    ),
+}
 
-
-PRESET_NAMES = tuple(sorted(_presets().keys()))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset(name: str) -> ScheduleSet:
     """Return a named, fully populated schedule preset."""
-    table = _presets()
-    if name not in table:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return table[name]
+    return _PRESETS[name]

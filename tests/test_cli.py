@@ -379,6 +379,9 @@ MALFORMED = {
     "sweep_value_numeric_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["0.5"]}]}}),
     "q_string": ("solve", {"problem": {"family": "oracle_orthant", "params": {"q": ["-1", 1.0]}}}),
     "q_bool": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 2, "q": [-1.0, True]}}}),
+    "q_zero_orthant": ("solve", {"problem": {"family": "oracle_orthant", "params": {"q": "zero"}}}),
+    # a 284 PiB matrix: numpy refuses it before touching any memory
+    "affine_m_unallocatable": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 200_000_000}}}),
     "label_number": ("solve", {"schedules": {"label": 5}}),
     # without a preset, theta has no default: theta_n = 0 would never apply the forward-backward step
     "schedules_without_theta": ("solve", {"schedules": {"preset": None, "mu": 0.9, "lambda1": 0.1}}),
@@ -469,6 +472,32 @@ def test_infinite_problem_param_exits_2(tmp_path, capsys):
         assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 2, params
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "validation.json").exists()
+
+
+def test_preset_name_must_be_a_string(tmp_path, capsys):
+    cfg = orthant_config(tmp_path, schedules={"preset": ["paper_default"]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'preset'" in err and err.count("\n") == 1
+
+
+def test_problem_params_are_the_generator_keywords():
+    import inspect
+
+    from tsengsplit import gen_affine_vi, gen_l2_vi, gen_lasso, gen_oracle_strong, oracle_orthant_vi
+
+    generators = {
+        "lasso": gen_lasso,
+        "affine_vi": gen_affine_vi,
+        "l2_vi": gen_l2_vi,
+        "oracle_strong": gen_oracle_strong,
+        "oracle_orthant": oracle_orthant_vi,
+    }
+    for family, gen in generators.items():
+        params = {name: p for name, p in inspect.signature(gen).parameters.items() if name != "rng"}
+        assert cli.PROBLEM_PARAMS[family] == tuple(params), family
+        # a config may leave out any param: each has its generator's default
+        assert all(p.default is not inspect.Parameter.empty for p in params.values()), family
 
 
 def test_affine_identity_without_m_uses_the_default_dimension(tmp_path):

@@ -78,7 +78,7 @@ def test_affine_vi_monotone_on_samples():
 
 
 def test_affine_vi_identity_oracle():
-    inst, prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), m_matrix=np.eye(2))
+    inst, prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), identity=True)
     assert np.allclose(prob.known_solution, [1.0, 0.0])
 
 
@@ -86,16 +86,16 @@ def test_affine_vi_identity_oracle():
 
 
 def test_l2_vi_case_values_at_endpoint():
-    inst, _ = gen_l2_vi(200, 1)
-    assert inst.x0[-1] == pytest.approx(101.0 / 13.0)
-    inst4, _ = gen_l2_vi(200, 4)
-    assert inst4.x1[-1] == pytest.approx(101.0 / 13.0)
+    _, prob = gen_l2_vi(200, 1)
+    assert prob.x0[-1] == pytest.approx(101.0 / 13.0)
+    _, prob4 = gen_l2_vi(200, 4)
+    assert prob4.x1[-1] == pytest.approx(101.0 / 13.0)
 
 
 def test_l2_vi_weights_positive_and_sum_to_one():
-    inst, _ = gen_l2_vi(200, 2)
-    assert (inst.weights > 0).all()
-    assert inst.weights.sum() == pytest.approx(1.0)
+    _, prob = gen_l2_vi(200, 2)
+    assert (prob.weights > 0).all()
+    assert prob.weights.sum() == pytest.approx(1.0)
 
 
 def test_l2_vi_resolvent_restores_constraint():
@@ -104,21 +104,21 @@ def test_l2_vi_resolvent_restores_constraint():
     for _ in range(20):
         x = g.standard_normal(200)
         proj = prob.backward(x, 0.5)
-        assert abs(float(np.dot(inst.weights * inst.grid, proj)) - 2.0) <= 1e-9
+        assert abs(float(np.dot(prob.weights * inst.grid, proj)) - 2.0) <= 1e-9
 
 
 def test_l2_vi_forward_contracts_in_weighted_norm():
-    inst, prob = gen_l2_vi(120, 2)
+    _, prob = gen_l2_vi(120, 2)
     g = RngStream(14).generator()
     for _ in range(200):
         x, y = g.standard_normal(120), g.standard_normal(120)
-        lhs = norm(prob.forward(x) - prob.forward(y), weights=inst.weights)
-        assert lhs <= norm(x - y, weights=inst.weights) + 1e-15
+        lhs = norm(prob.forward(x) - prob.forward(y), weights=prob.weights)
+        assert lhs <= norm(x - y, weights=prob.weights) + 1e-15
 
 
 def test_l2_vi_known_solution_is_scaled_grid():
     inst, prob = gen_l2_vi(150, 1)
-    gram = float(np.dot(inst.weights * inst.grid, inst.grid))
+    gram = float(np.dot(prob.weights * inst.grid, inst.grid))
     assert np.allclose(prob.known_solution, (2.0 / gram) * inst.grid)
 
 
