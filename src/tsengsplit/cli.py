@@ -6,7 +6,10 @@ Subcommands:
   ``trace.jsonl``, ``summary.json`` and ``validation.json`` (a diverged
   solve, reported from its partial trace, writes only the last two).
 * ``sweep``    - run a parameter grid on one fixed instance; writes
-  ``sweep_summary.csv`` and ``sweep_trends.json``.
+  ``sweep_summary.csv`` and ``sweep_trends.json``.  After the first grid
+  point, the rest are shared with helper interpreters, one per further CPU
+  of the process's affinity mask, each rebuilding the instance; rows keep
+  grid order, and on one CPU (``taskset -c 0``) the sweep runs serially.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -92,6 +95,7 @@ FLOAT_KEYS = (
     *(param for params in SEQUENCE_KINDS.values() for param in params),
 )
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
+Q_SPELLING = "'q' must be a list of numbers (or \"zero\" for affine_vi)"
 
 
 class ConfigError(ValueError):
@@ -141,7 +145,7 @@ def _typed(key: str, value):
         if value == "zero":
             return None
         numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-        _require(numbers, f"'q' must be a list of numbers (or \"zero\" for affine_vi), got {value!r}")
+        _require(numbers, f"{Q_SPELLING}, got {value!r}")
         return [float(v) for v in value]
     elif key in ("label", "preset"):
         _require(type(value) is str, f"'{key}' must be a string, got {value!r}")
@@ -170,6 +174,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError as err:  # arrays or objects nested about 1,000 deep
+        raise ConfigError(f"config is nested too deeply: {err}") from err
     _object(raw, "config", ("version", "seed", "problem", "schedules", "solver", "sweep"))
     _require(_typed("version", raw.get("version", CONFIG_VERSION)) == CONFIG_VERSION, "unsupported config version")
 
@@ -198,6 +204,8 @@ def load_config(path) -> ExperimentConfig:
                 apply_sweep_point(schedules, {ax["param"]: v})  # rejects e.g. mu outside (0, 1)
 
     params = _object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])
+    # "zero" is the zero vector of affine_vi's dimension m; no other family has an m for it
+    _require(family == "affine_vi" or params.get("q") != "zero", f"{Q_SPELLING}, got 'zero'")
     return ExperimentConfig(
         seed=_typed("seed", raw.get("seed", 0)),
         family=family,
@@ -353,33 +361,46 @@ def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
     return points
 
 
-def cmd_sweep(args) -> int:
+def _sweep_config(args) -> ExperimentConfig:
     cfg = _apply_cli_overrides(load_config(args.config), args)
     _require(bool(cfg.sweep_axes), "config has no sweep axes")
+    return cfg
+
+
+def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> dict:
+    """The row of one grid point, solved on ``problem``; JSON, so a helper can send it."""
+    run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point))
+    t0 = time.perf_counter()
+    try:
+        _, trace = solve(problem, run_cfg)
+    except DivergenceError as err:
+        trace = err.trace
+    elapsed = time.perf_counter() - t0
+    return {
+        "point": point,
+        "iters": len(trace),
+        "status": trace.status,
+        "final_metric": trace.row(-1)["E_n"] if trace.rows else float("nan"),
+        "elapsed_s": elapsed,
+    }
+
+
+def cmd_sweep(args) -> int:
+    cfg = _sweep_config(args)
     out = _out_dir(args.out)
     problem = build_problem(cfg)  # one instance shared by every grid point
+    points = _grid_points(cfg.sweep_axes)
 
-    rows = []
-    worst = EXIT_OK
-    for point in _grid_points(cfg.sweep_axes):
-        sched = apply_sweep_point(cfg.solver.schedules, point)
-        run_cfg = replace(cfg.solver, schedules=sched)
-        t0 = time.perf_counter()
-        try:
-            _, trace = solve(problem, run_cfg)
-        except DivergenceError as err:
-            trace = err.trace
-        elapsed = time.perf_counter() - t0
-        worst = max(worst, EXIT_BY_STATUS[trace.status])
-        rows.append(
-            {
-                "point": point,
-                "iters": len(trace),
-                "status": trace.status,
-                "final_metric": trace.row(-1)["E_n"] if trace.rows else float("nan"),
-                "elapsed_s": elapsed,
-            }
-        )
+    # helpers start only after the first point, so a one-point grid (and
+    # the set-up before the first solve) costs what a serial sweep costs
+    rows = [_sweep_row(problem, cfg.solver, points[0])]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helpers = min(cpus - 1, len(points) - 2)
+    if helpers > 0:
+        rows += _rows_with_helpers(args, problem, cfg.solver, points, helpers)
+    else:
+        rows += [_sweep_row(problem, cfg.solver, point) for point in points[1:]]
+    worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
 
     key = ";".join(ax.param for ax in cfg.sweep_axes)
     lines = [SWEEP_HEADER]
@@ -395,6 +416,125 @@ def cmd_sweep(args) -> int:
     if not args.quiet:
         print(json.dumps(trends, indent=2))
     return worst
+
+
+# a helper interpreter: the package this process runs goes first on sys.path
+# (a caller may have put it there without PYTHONPATH), then it serves points
+HELPER_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from tsengsplit.cli import _serve_points; _serve_points(*sys.argv[2:])"
+CLAIMS_PER_WRITE = 1024  # 4-byte claims: 4 KiB, so each write to the claim pipe is atomic
+
+
+def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points: list, helpers: int) -> list[dict]:
+    """The rows of grid points 1.., solved by this process and ``helpers``
+    fresh interpreters side by side.
+
+    A thread writes the indices 1.. into a pipe as 4-byte claims, as GNU
+    make's jobserver hands out job slots; this process and every helper
+    read one claim at a time until the pipe ends, so a point goes to
+    whichever process is free.  A helper rebuilds the instance from the same
+    config and overrides and prints each row as a JSON line ``[i, row]``.
+    This process waits only while rows are missing, then runs every point no
+    helper returned (a helper that cannot start, dies or raises returns
+    none), so an error surfaces as in a serial sweep: errors are kept, and
+    the first in grid order is raised.  Every helper is killed and reaped
+    before this returns.
+    """
+    import queue
+    import subprocess
+    import threading
+
+    results: dict[int, dict | Exception] = {}
+
+    def run_here(i: int) -> None:
+        try:
+            results[i] = _sweep_row(problem, solver_cfg, points[i])
+        except Exception as err:  # raised below, once every earlier point is known
+            results[i] = err
+
+    claims, feed = os.pipe()
+    threads = [threading.Thread(target=_feed_claims, args=(feed, len(points)), daemon=True)]
+    threads[0].start()
+    messages: queue.SimpleQueue = queue.SimpleQueue()
+    procs: list[subprocess.Popen] = []
+    argv = [sys.executable, "-c", HELPER_CODE, str(Path(__file__).resolve().parent.parent), str(claims)]
+    try:
+        for _ in range(helpers):
+            try:
+                proc = subprocess.Popen(
+                    [*argv, json.dumps(vars(args))],
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                    pass_fds=(claims,),
+                )
+            except OSError:
+                break
+            procs.append(proc)
+            threads.append(threading.Thread(target=_relay_rows, args=(proc, messages), daemon=True))
+            threads[-1].start()
+        while claim := os.read(claims, 4):
+            run_here(int.from_bytes(claim, "little"))
+        live = len(procs)
+        while live and len(results) < len(points) - 1:
+            message = messages.get()
+            if message is None:  # a helper is gone
+                live -= 1
+            else:
+                results[message[0]] = message[1]
+        for i in range(1, len(points)):
+            if i not in results:
+                run_here(i)
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.wait()
+        os.close(claims)  # with every reader gone, a blocked feed write fails and the thread ends
+        for thread in threads:
+            thread.join()
+        for proc in procs:
+            proc.stdout.close()
+    rows = [results[i] for i in range(1, len(points))]
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
+
+
+def _feed_claims(fd: int, count: int) -> None:
+    """Write the claims ``1..count-1`` to the pipe ``fd``, then close it, so
+    that readers see its end once they have taken every claim."""
+    try:
+        for start in range(1, count, CLAIMS_PER_WRITE):
+            os.write(fd, b"".join(i.to_bytes(4, "little") for i in range(start, min(start + CLAIMS_PER_WRITE, count))))
+    except BrokenPipeError:  # the sweep ended early and no process reads claims
+        pass
+    finally:
+        os.close(fd)
+
+
+def _relay_rows(proc, messages) -> None:
+    """Put each ``[i, row]`` line a helper prints on ``messages``, then ``None`` when its output ends."""
+    for line in proc.stdout:
+        try:
+            messages.put(json.loads(line))
+        except ValueError:  # cut short by the helper's death
+            break
+    messages.put(None)
+
+
+def _serve_points(claims: str, args_json: str) -> None:
+    """A helper interpreter: solve the grid points it claims from the pipe
+    ``claims`` until the pipe ends, printing the JSON lines
+    :func:`_rows_with_helpers` reads.  Any error kills the helper, and the
+    parent runs its point again."""
+    args = argparse.Namespace(**json.loads(args_json))
+    cfg = _sweep_config(args)
+    problem = build_problem(cfg)
+    points = _grid_points(cfg.sweep_axes)
+    while claim := os.read(int(claims), 4):
+        i = int.from_bytes(claim, "little")
+        print(json.dumps([i, _sweep_row(problem, cfg.solver, points[i])]), flush=True)
 
 
 def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:

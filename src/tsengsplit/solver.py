@@ -21,7 +21,9 @@ also the step-ratio numerator), ``||w||``, ``||A(w) - A(y)||``,
 without ``record_distance``, one fewer under the ``residual`` stop rule,
 which reuses the residual).  :func:`solve` is the one iteration loop.  A
 run is strictly sequential; concurrent runs may share problems and
-schedules because those are immutable.
+schedules because those are immutable.  Parallelism lives above it: the
+CLI's ``sweep`` solves grid points in separate processes, each calling
+:func:`solve` on its own copy of the instance.
 
 Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
 place the trace schema is written down; the CSV/JSONL writers, the reader,
@@ -59,6 +61,7 @@ __all__ = [
     "trace_to_csv",
     "write_trace_csv",
     "read_trace_csv",
+    "trace_row_json",
     "write_trace_jsonl",
 ]
 
@@ -482,9 +485,22 @@ def read_trace_csv(path) -> SolverTrace:
     return trace
 
 
+def trace_row_json(row: tuple) -> str:
+    """A trace row as the JSON object ``json.dumps(dict(zip(TRACE_COLUMNS, row)))``
+    writes, rendered from one template instead of a dict per row."""
+    n, lam, residual, e_n, dist, elapsed_ms = row
+    dist = "null" if dist is None else repr(float(dist))
+    line = (
+        f'{{"n": {n}, "lambda": {float(lam)!r}, "residual": {float(residual)!r}, "E_n": {float(e_n)!r}, '
+        f'"dist": {dist}, "elapsed_ms": {float(elapsed_ms)!r}}}'
+    )
+    if "nan" in line or "inf" in line:  # no key holds these: they are floats, which JSON spells NaN, Infinity
+        line = line.replace("nan", "NaN").replace("inf", "Infinity")
+    return line
+
+
 def write_trace_jsonl(trace: SolverTrace, path) -> None:
     """One JSON object per row (measured ``elapsed_ms``), then a summary record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in trace.rows:
-            fh.write(json.dumps(dict(zip(TRACE_COLUMNS, r))) + "\n")
+        fh.writelines(trace_row_json(r) + "\n" for r in trace.rows)
         fh.write(json.dumps(trace.summary()) + "\n")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -393,7 +397,24 @@ def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
     command, overrides = MALFORMED[case]
     cfg = orthant_config(tmp_path, **overrides)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+# the stderr text of cases that must name their cause
+MALFORMED_MESSAGES = {"q_zero_orthant": """'q' must be a list of numbers (or "zero" for affine_vi), got 'zero'"""}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "validate"])
+def test_deeply_nested_config_exits_2(command, tmp_path, capsys):
+    # json.loads recurses once per level: 1,000 levels exceed the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "problem": ' + "[" * 1000 + "]" * 1000 + "}", encoding="utf-8")
+    out = ["--out", str(tmp_path / "o"), "--quiet"] if command != "validate" else []
+    assert main([command, "--config", str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is nested too deeply") and err.count("\n") == 1
 
 
 STRONG = json.loads((Path(__file__).resolve().parent.parent / "configs" / "oracle_strong_linear.json").read_text())
@@ -649,3 +670,122 @@ def test_sweep_diverged_point_reports_last_row(tmp_path):
     assert last[1] == "50.0" and last[3] == "diverged"
     assert int(last[2]) > 1 and math.isfinite(float(last[4]))
     assert json.loads((out / "sweep_trends.json").read_text())["alpha"]["diverged"] == 1
+
+
+# --- sweeps on several CPUs --------------------------------------------------
+
+# 6 points; the two with lambda1 = 1e200 diverge in their first iteration
+WIDE_SWEEP = {"axes": [{"param": "lambda1", "values": [0.1, 1e200, 0.2]}, {"param": "theta", "values": [0.3, 0.6]}]}
+SWEEP_WAIT_S = 120
+
+
+def run_sweep(cfg, out, monkeypatch, cpus, parent_delay_s=0.0, fail_at=lambda point: False):
+    """``sweep`` as if ``cpus`` CPUs were free, run in a thread that must
+    finish within SWEEP_WAIT_S.  Each point this process solves is recorded
+    and delayed by ``parent_delay_s``, so helpers get points to solve, and
+    raises where ``fail_at`` says.  Returns the exit code, the summary
+    without elapsed_s, the trends and the points solved here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    solved_here = []
+    real_row = cli._sweep_row
+
+    def row_here(problem, solver_cfg, point):
+        solved_here.append(point)
+        time.sleep(parent_delay_s)
+        if fail_at(point):
+            raise RuntimeError(f"failed at {point}")
+        return real_row(problem, solver_cfg, point)
+
+    monkeypatch.setattr(cli, "_sweep_row", row_here)
+    pool = ThreadPoolExecutor(1)
+    try:
+        rc = pool.submit(main, ["sweep", "--config", cfg, "--out", str(out), "--quiet"]).result(timeout=SWEEP_WAIT_S)
+    finally:
+        pool.shutdown(wait=False)
+    summary = "\n".join(line.rsplit(",", 1)[0] for line in (out / "sweep_summary.csv").read_text().splitlines())
+    return rc, summary, (out / "sweep_trends.json").read_bytes(), solved_here
+
+
+def no_popen(*args, **kwargs):
+    raise AssertionError("a helper was started")
+
+
+@pytest.fixture
+def wide_sweep(tmp_path):
+    """The config and the serial run's outputs: on one CPU no helper starts."""
+    cfg = orthant_config(tmp_path, schedules={"p_seq": {"kind": "constant", "value": 1e300}}, sweep=WIDE_SWEEP)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subprocess, "Popen", no_popen)
+        *serial, solved_here = run_sweep(cfg, tmp_path / "serial", mp, cpus=1)
+    assert serial[0] == 3 and len(solved_here) == 6
+    return cfg, serial
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_sweep_on_several_cpus_matches_the_serial_sweep(cpus, wide_sweep, tmp_path, monkeypatch):
+    cfg, serial = wide_sweep
+    rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "wide", monkeypatch, cpus, parent_delay_s=0.5)
+    assert_no_child_left()
+    assert (rc, summary, trends) == tuple(serial)
+    assert len(solved_here) < 6  # helpers solved some points
+
+
+def test_grid_of_two_points_starts_no_helper(tmp_path, monkeypatch):
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3, 0.6]}]})
+    monkeypatch.setattr(subprocess, "Popen", no_popen)
+    *_, solved_here = run_sweep(cfg, tmp_path / "two", monkeypatch, cpus=4)
+    assert len(solved_here) == 2
+
+
+def test_helpers_that_cannot_start_leave_every_point_to_the_parent(wide_sweep, tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise OSError("no processes left")
+
+    cfg, serial = wide_sweep
+    monkeypatch.setattr(subprocess, "Popen", refused)
+    rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "refused", monkeypatch, cpus=4)
+    assert (rc, summary, trends) == tuple(serial)
+    assert len(solved_here) == 6
+
+
+def dying_helper(marker):
+    """Helper code that claims one point, records it in ``marker`` and dies holding it."""
+    return (
+        "import os, sys; claim = os.read(int(sys.argv[2]), 4); "
+        f"open({str(marker)!r}, 'w').write(str(int.from_bytes(claim, 'little'))); os._exit(1)"
+    )
+
+
+def test_point_of_a_dead_helper_is_solved_by_the_parent(wide_sweep, tmp_path, monkeypatch):
+    cfg, serial = wide_sweep
+    marker = tmp_path / "claimed"
+    monkeypatch.setattr(cli, "HELPER_CODE", dying_helper(marker))
+    rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "dead", monkeypatch, cpus=2, parent_delay_s=0.3)
+    assert_no_child_left()
+    assert (rc, summary, trends) == tuple(serial)
+    assert 1 <= int(marker.read_text()) <= 5  # the helper died holding a point
+    assert len(solved_here) == 6
+
+
+def test_first_error_in_grid_order_surfaces(wide_sweep, tmp_path, monkeypatch):
+    # the helper dies holding an early point; the parent fails on the last point
+    # first, and then on the early one, which a serial sweep would have raised
+    cfg, _ = wide_sweep
+    marker = tmp_path / "claimed"
+    points = cli._grid_points(cli.load_config(cfg).sweep_axes)
+    monkeypatch.setattr(cli, "HELPER_CODE", dying_helper(marker))
+
+    def fail_at(point):
+        return point == points[-1] or (marker.exists() and point == points[int(marker.read_text())])
+
+    with pytest.raises(RuntimeError) as err:
+        run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2, parent_delay_s=0.3, fail_at=fail_at)
+    assert_no_child_left()
+    claimed = int(marker.read_text())
+    assert claimed < len(points) - 1
+    assert str(err.value) == f"failed at {points[claimed]}"

@@ -33,6 +33,7 @@ from tsengsplit import (
     rational,
     read_trace_csv,
     solve,
+    trace_row_json,
     validate_c3,
     write_trace_csv,
     write_trace_jsonl,
@@ -67,6 +68,14 @@ def test_trace_record_round_trips(rows, status, counters):
     assert all(tuple(rec) == TRACE_COLUMNS for rec in records[:-1])
     assert [tuple(map(repr, rec.values())) for rec in records[:-1]] == [tuple(map(repr, r)) for r in rows]
     assert records[-1]["iterations"] == len(rows)
+
+
+@SETTINGS
+@given(row=st.tuples(st.integers(), st.floats(), st.floats(), st.floats(), st.none() | st.floats(), st.floats()))
+@example(row=(1, math.nan, math.inf, -math.inf, None, -0.0))
+@example(row=(7, 1e-300, 5e-324, 1.7976931348623157e308, -math.nan, 12.5))
+def test_jsonl_row_template_writes_what_json_dumps_writes(row):
+    assert trace_row_json(row) == json.dumps(dict(zip(TRACE_COLUMNS, row)))
 
 
 # --- fuzzed configs ------------------------------------------------------------
