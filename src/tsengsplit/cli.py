@@ -6,10 +6,10 @@ Subcommands:
   ``trace.jsonl``, ``summary.json`` and ``validation.json`` (a diverged
   solve, reported from its partial trace, writes only the last two).
 * ``sweep``    - run a parameter grid on one fixed instance; writes
-  ``sweep_summary.csv`` and ``sweep_trends.json``.  After the first grid
-  point, the rest are shared with helper interpreters, one per further CPU
-  of the process's affinity mask, each rebuilding the instance; rows keep
-  grid order, and on one CPU (``taskset -c 0``) the sweep runs serially.
+  ``sweep_summary.csv`` and ``sweep_trends.json``.  The grid points are
+  shared with helper interpreters, one per further CPU of the process's
+  affinity mask, each rebuilding the instance; rows keep grid order, and on
+  one CPU (``taskset -c 0``) the sweep runs serially.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -169,7 +169,7 @@ def _config_boundary(what: str):
 @_config_boundary("bad config value")
 def load_config(path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
@@ -213,6 +213,15 @@ def load_config(path) -> ExperimentConfig:
         solver=solver_cfg,
         sweep_axes=axes,
     )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice would give its setting two values."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, f"duplicate key {key!r}: each setting is given once")
+        obj[key] = value
+    return obj
 
 
 def _schedules_from_config(spec) -> ScheduleSet:
@@ -391,15 +400,13 @@ def cmd_sweep(args) -> int:
     problem = build_problem(cfg)  # one instance shared by every grid point
     points = _grid_points(cfg.sweep_axes)
 
-    # helpers start only after the first point, so a one-point grid (and
-    # the set-up before the first solve) costs what a serial sweep costs
-    rows = [_sweep_row(problem, cfg.solver, points[0])]
+    # helpers start before the first point, so they load while it is solved
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = min(cpus - 1, len(points) - 2)
+    helpers = min(cpus - 1, len(points) - 1)
     if helpers > 0:
-        rows += _rows_with_helpers(args, problem, cfg.solver, points, helpers)
+        rows = _rows_with_helpers(args, problem, cfg.solver, points, helpers)
     else:
-        rows += [_sweep_row(problem, cfg.solver, point) for point in points[1:]]
+        rows = [_sweep_row(problem, cfg.solver, point) for point in points]
     worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
 
     key = ";".join(ax.param for ax in cfg.sweep_axes)
@@ -425,10 +432,10 @@ CLAIMS_PER_WRITE = 1024  # 4-byte claims: 4 KiB, so each write to the claim pipe
 
 
 def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points: list, helpers: int) -> list[dict]:
-    """The rows of grid points 1.., solved by this process and ``helpers``
+    """The rows of every grid point, solved by this process and ``helpers``
     fresh interpreters side by side.
 
-    A thread writes the indices 1.. into a pipe as 4-byte claims, as GNU
+    A thread writes the indices 0.. into a pipe as 4-byte claims, as GNU
     make's jobserver hands out job slots; this process and every helper
     read one claim at a time until the pipe ends, so a point goes to
     whichever process is free.  A helper rebuilds the instance from the same
@@ -475,13 +482,13 @@ def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points:
         while claim := os.read(claims, 4):
             run_here(int.from_bytes(claim, "little"))
         live = len(procs)
-        while live and len(results) < len(points) - 1:
+        while live and len(results) < len(points):
             message = messages.get()
             if message is None:  # a helper is gone
                 live -= 1
             else:
                 results[message[0]] = message[1]
-        for i in range(1, len(points)):
+        for i in range(len(points)):
             if i not in results:
                 run_here(i)
     finally:
@@ -494,7 +501,7 @@ def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points:
             thread.join()
         for proc in procs:
             proc.stdout.close()
-    rows = [results[i] for i in range(1, len(points))]
+    rows = [results[i] for i in range(len(points))]
     for row in rows:
         if isinstance(row, Exception):
             raise row
@@ -502,10 +509,10 @@ def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points:
 
 
 def _feed_claims(fd: int, count: int) -> None:
-    """Write the claims ``1..count-1`` to the pipe ``fd``, then close it, so
+    """Write the claims ``0..count-1`` to the pipe ``fd``, then close it, so
     that readers see its end once they have taken every claim."""
     try:
-        for start in range(1, count, CLAIMS_PER_WRITE):
+        for start in range(0, count, CLAIMS_PER_WRITE):
             os.write(fd, b"".join(i.to_bytes(4, "little") for i in range(start, min(start + CLAIMS_PER_WRITE, count))))
     except BrokenPipeError:  # the sweep ended early and no process reads claims
         pass
@@ -587,10 +594,11 @@ def cmd_certify(args) -> int:
             report = certify_sqrt_rate(trace)
         else:
             report = certify_linear_rate(trace, q_bound=args.q_bound)
+        text = report.to_json()  # refuses a ratio that overflowed, which JSON cannot hold
     except ValueError as err:
         print(f"certificate not applicable: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    print(report.to_json())
+    print(text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -350,7 +350,7 @@ class RateReport:
         return {"kind": self.kind, "passed": self.passed, "details": self.details}
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
 
 def certify_sqrt_rate(trace: SolverTrace) -> RateReport:
@@ -458,8 +458,18 @@ def write_trace_csv(trace: SolverTrace, path) -> None:
 
 
 def read_trace_csv(path) -> SolverTrace:
-    """Parse a trace CSV written by :func:`write_trace_csv`; only ``dist`` may be empty."""
+    """Parse a trace CSV that :func:`write_trace_csv` wrote for a trace
+    :func:`solve` returned; only ``dist`` may be empty.
+
+    Raises ``ValueError`` on anything such a trace cannot hold: rows not
+    numbered ``1..T``; a negative or non-finite ``residual``, ``E_n`` or
+    ``dist``; a ``lambda`` that is not positive and finite; a status other
+    than a finished run's; or footer counters that do not match the rows
+    (``T`` resolvent evaluations, and ``2T`` forward evaluations, one fewer
+    after an exact stop).
+    """
     trace = SolverTrace()
+    rows, inf = trace.rows, math.inf
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(TRACE_COLUMNS):
@@ -480,8 +490,24 @@ def read_trace_csv(path) -> SolverTrace:
             if len(cols) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row: {line!r}")
             n, lam, residual, e_n, dist, elapsed_ms = cols
+            n, lam, residual, e_n = int(n), float(lam), float(residual), float(e_n)
             dist = None if dist == "" else float(dist)
-            trace.rows.append((int(n), float(lam), float(residual), float(e_n), dist, float(elapsed_ms)))
+            if n != len(rows) + 1:
+                raise ValueError(f"trace row {len(rows) + 1} is numbered {n}")
+            # each comparison is false for NaN
+            if not 0.0 < lam < inf:
+                raise ValueError(f"lambda {lam!r} at n = {n} is not positive and finite")
+            if not (0.0 <= residual < inf and 0.0 <= e_n < inf and (dist is None or 0.0 <= dist < inf)):
+                raise ValueError(f"negative or non-finite residual, E_n or dist at n = {n}")
+            rows.append((n, lam, residual, e_n, dist, float(elapsed_ms)))
+    t = len(rows)
+    if trace.status not in (STATUS_EXACT, STATUS_TOL, STATUS_BUDGET):  # a diverged run writes no trace CSV
+        raise ValueError(f"trace status {trace.status!r} is not a finished run's")
+    if (trace.resolvent_evals, trace.forward_evals) != (t, 2 * t - (trace.status == STATUS_EXACT)):
+        raise ValueError(
+            f"footer counters resolvent_evals={trace.resolvent_evals} forward_evals={trace.forward_evals} "
+            f"do not match {t} rows"
+        )
     return trace
 
 

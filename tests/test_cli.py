@@ -190,6 +190,32 @@ def test_certify_roundtrip(tmp_path, affine_config):
     assert main(["certify", "--trace", str(tmp_path / "missing.csv"), "--kind", "sqrt"]) == 2
 
 
+def test_certify_refuses_a_trace_solve_cannot_write(tmp_path, affine_config, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:-1]]
+    for row in rows:
+        row[2] = "inf"  # residual
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join([lines[0], *map(",".join, rows), lines[-1]]) + "\n")
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(bad), "--kind", "sqrt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot read trace: negative or non-finite residual")
+
+
+def test_certify_with_no_finite_json_report_exits_2(tmp_path, capsys):
+    # every best residual of the first half is 0, so the envelope ratio is infinite
+    rows = [f"{n},0.1,0.0,0.0,,0.0" for n in range(1, 61)]
+    footer = "# status=max_iters forward_evals=120 resolvent_evals=60 tie_breaks=0"
+    path = tmp_path / "zero.csv"
+    path.write_text("\n".join(["n,lambda,residual,E_n,dist,elapsed_ms", *rows, footer]) + "\n")
+    assert main(["certify", "--trace", str(path), "--kind", "sqrt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("certificate not applicable: Out of range float")
+
+
 def test_certify_rejects_short_trace(tmp_path, affine_config):
     out = tmp_path / "short"
     main(["solve", "--config", affine_config, "--out", str(out), "--max-iters", "20", "--quiet"])
@@ -348,6 +374,14 @@ def test_tie_breaks_on_a_constant_forward_map_warn_in_the_summary(tmp_path, monk
     assert summary["tie_break_warning"].startswith("degenerate step-update branch")
 
 
+class Again(str):
+    """A config key that ``json.dumps`` writes a second time: a dict holds it
+    next to the same key, because it compares and hashes by identity."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 MALFORMED = {
     "version_not_int": ("solve", {"version": "x"}),
     "seed_not_int": ("solve", {"seed": "x"}),
@@ -389,6 +423,10 @@ MALFORMED = {
     "label_number": ("solve", {"schedules": {"label": 5}}),
     # without a preset, theta has no default: theta_n = 0 would never apply the forward-backward step
     "schedules_without_theta": ("solve", {"schedules": {"preset": None, "mu": 0.9, "lambda1": 0.1}}),
+    # json.loads would keep the last of the two values, so a setting would have two spellings
+    "seed_twice": ("solve", {Again("seed"): 4}),
+    "max_iters_twice": ("solve", {"solver": {Again("max_iters"): 5}}),
+    "sequence_value_twice": ("solve", {"schedules": {"alpha": {"kind": "constant", "value": 0.1, Again("value"): 0}}}),
 }
 
 
@@ -403,7 +441,12 @@ def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
 
 
 # the stderr text of cases that must name their cause
-MALFORMED_MESSAGES = {"q_zero_orthant": """'q' must be a list of numbers (or "zero" for affine_vi), got 'zero'"""}
+MALFORMED_MESSAGES = {
+    "q_zero_orthant": """'q' must be a list of numbers (or "zero" for affine_vi), got 'zero'""",
+    "seed_twice": "duplicate key 'seed': each setting is given once",
+    "max_iters_twice": "duplicate key 'max_iters'",
+    "sequence_value_twice": "duplicate key 'value'",
+}
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "validate"])
@@ -735,11 +778,27 @@ def test_sweep_on_several_cpus_matches_the_serial_sweep(cpus, wide_sweep, tmp_pa
     assert len(solved_here) < 6  # helpers solved some points
 
 
-def test_grid_of_two_points_starts_no_helper(tmp_path, monkeypatch):
-    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3, 0.6]}]})
+def test_grid_of_one_point_starts_no_helper(tmp_path, monkeypatch):
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3]}]})
     monkeypatch.setattr(subprocess, "Popen", no_popen)
-    *_, solved_here = run_sweep(cfg, tmp_path / "two", monkeypatch, cpus=4)
-    assert len(solved_here) == 2
+    *_, solved_here = run_sweep(cfg, tmp_path / "one", monkeypatch, cpus=4)
+    assert len(solved_here) == 1
+
+
+def test_helpers_start_before_the_first_point(tmp_path, monkeypatch):
+    events = []
+
+    def popen(*args, **kwargs):
+        events.append("popen")
+        raise OSError("recorded, not started")
+
+    real_row = cli._sweep_row
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(cli, "_sweep_row", lambda *args: events.append("row") or real_row(*args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3, 0.6]}]})
+    main(["sweep", "--config", cfg, "--out", str(tmp_path / "two"), "--quiet"])
+    assert events == ["popen", "row", "row"]
 
 
 def test_helpers_that_cannot_start_leave_every_point_to_the_parent(wide_sweep, tmp_path, monkeypatch):
@@ -768,7 +827,7 @@ def test_point_of_a_dead_helper_is_solved_by_the_parent(wide_sweep, tmp_path, mo
     rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "dead", monkeypatch, cpus=2, parent_delay_s=0.3)
     assert_no_child_left()
     assert (rc, summary, trends) == tuple(serial)
-    assert 1 <= int(marker.read_text()) <= 5  # the helper died holding a point
+    assert 0 <= int(marker.read_text()) <= 5  # the helper died holding a point
     assert len(solved_here) == 6
 
 
@@ -789,3 +848,27 @@ def test_first_error_in_grid_order_surfaces(wide_sweep, tmp_path, monkeypatch):
     claimed = int(marker.read_text())
     assert claimed < len(points) - 1
     assert str(err.value) == f"failed at {points[claimed]}"
+
+
+def test_error_at_the_first_point_surfaces_while_a_helper_runs(wide_sweep, tmp_path, monkeypatch):
+    cfg, _ = wide_sweep
+    points = cli._grid_points(cli.load_config(cfg).sweep_axes)
+    procs, alive_at_error = [], []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        procs.append(real_popen(*args, **kwargs))
+        return procs[-1]
+
+    def fail_at(point):
+        if point != points[0]:
+            return False
+        alive_at_error.extend(proc.poll() is None for proc in procs)
+        return True
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with pytest.raises(RuntimeError) as err:
+        run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2, fail_at=fail_at)
+    assert_no_child_left()
+    assert alive_at_error == [True]
+    assert str(err.value) == f"failed at {points[0]}"

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tsengsplit import (
+    TRACE_COLUMNS,
     DescentViolationError,
     DivergenceError,
     ForwardOperator,
@@ -387,6 +389,64 @@ def test_trace_csv_round_trip(tmp_path):
     assert all(r[5] == 0.0 for r in back.rows)
     # a second render of the parsed trace is byte-identical
     assert trace_to_csv(back) == path.read_text()
+
+
+def with_row(trace, i, **cols):
+    """``trace`` with the columns ``cols`` of row ``i`` replaced."""
+    rows = list(trace.rows)
+    rows[i] = tuple(cols.get(name, v) for name, v in zip(TRACE_COLUMNS, rows[i]))
+    return replace(trace, rows=rows)
+
+
+# traces solve never writes, made from one it wrote, and the refusal each gets
+UNWRITABLE = {
+    "row_numbered_twice": (lambda t: with_row(t, 5, n=5), "is numbered"),
+    "rows_from_zero": (lambda t: replace(t, rows=[(n - 1, *rest) for n, *rest in t.rows]), "is numbered"),
+    "residual_inf": (lambda t: with_row(t, 7, residual=math.inf), "negative or non-finite"),
+    "residual_nan": (lambda t: with_row(t, 7, residual=math.nan), "negative or non-finite"),
+    "residual_negative": (lambda t: with_row(t, 7, residual=-1e-9), "negative or non-finite"),
+    "E_n_inf": (lambda t: with_row(t, 7, E_n=math.inf), "negative or non-finite"),
+    "dist_negative": (lambda t: with_row(t, 7, dist=-0.5), "negative or non-finite"),
+    "dist_nan": (lambda t: with_row(t, 7, dist=math.nan), "negative or non-finite"),
+    "lambda_zero": (lambda t: with_row(t, 7, **{"lambda": 0.0}), "not positive and finite"),
+    "lambda_negative": (lambda t: with_row(t, 7, **{"lambda": -0.1}), "not positive and finite"),
+    "lambda_inf": (lambda t: with_row(t, 7, **{"lambda": math.inf}), "not positive and finite"),
+    "status_unknown": (lambda t: replace(t, status="converged"), "status"),
+    "status_diverged": (lambda t: replace(t, status="diverged"), "status"),
+    "row_dropped": (lambda t: replace(t, rows=t.rows[:-1]), "footer counters"),
+    "resolvent_evals_off": (lambda t: replace(t, resolvent_evals=t.resolvent_evals + 1), "footer counters"),
+    # 2T - 1 forward evaluations only after an exact stop
+    "forward_evals_short": (lambda t: replace(t, forward_evals=t.forward_evals - 1), "footer counters"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_trace_csv_refuses_what_solve_never_writes(case, tmp_path):
+    edit, refusal = UNWRITABLE[case]
+    prob = gen_oracle_strong(RngStream(41), m=4, rho=1.0)
+    cfg = SolverConfig(schedules=preset("paper_default"), max_iters=60, tol=1e-30, record_distance=True)
+    _, trace = solve(prob, cfg)
+    assert trace.status == "max_iters"
+    path = tmp_path / "trace.csv"
+    write_trace_csv(edit(trace), path)
+    with pytest.raises(ValueError, match=refusal):
+        read_trace_csv(path)
+
+
+def test_trace_csv_of_an_exact_stop_reads(tmp_path):
+    # A = 1 pushes the iterates onto 0, where the backward step of w = 0 returns w
+    prob = Problem(
+        forward=ForwardOperator(fn=np.ones_like),
+        backward=projector_as_resolvent(orthant_projector(2)),
+        dimension=2,
+        x0=np.ones(2),
+        x1=np.ones(2),
+    )
+    _, trace = solve(prob, SolverConfig(schedules=preset("paper_default"), tol=1e-30))
+    assert (trace.status, trace.forward_evals) == ("exact_solution", 2 * len(trace) - 1)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert trace_to_csv(read_trace_csv(path)) == path.read_text()
 
 
 def test_trace_csv_rejects_garbage(tmp_path):
