@@ -7,9 +7,10 @@ Subcommands:
   solve, reported from its partial trace, writes only the last two).
 * ``sweep``    - run a parameter grid on one fixed instance; writes
   ``sweep_summary.csv`` and ``sweep_trends.json``.  The grid points are
-  shared with helper interpreters, one per further CPU of the process's
-  affinity mask, each rebuilding the instance; rows keep grid order, and on
-  one CPU (``taskset -c 0``) the sweep runs serially.
+  shared with helpers forked from the sweep, one per further CPU of the
+  process's affinity mask, each building its own instance from the config
+  the sweep read; rows keep grid order, and on one CPU (``taskset -c 0``)
+  or with one point the sweep runs serially.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -370,14 +372,8 @@ def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
     return points
 
 
-def _sweep_config(args) -> ExperimentConfig:
-    cfg = _apply_cli_overrides(load_config(args.config), args)
-    _require(bool(cfg.sweep_axes), "config has no sweep axes")
-    return cfg
-
-
 def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> dict:
-    """The row of one grid point, solved on ``problem``; JSON, so a helper can send it."""
+    """The row of one grid point, solved on ``problem``."""
     run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point))
     t0 = time.perf_counter()
     try:
@@ -395,16 +391,17 @@ def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, floa
 
 
 def cmd_sweep(args) -> int:
-    cfg = _sweep_config(args)
+    cfg = _apply_cli_overrides(load_config(args.config), args)
+    _require(bool(cfg.sweep_axes), "config has no sweep axes")
     out = _out_dir(args.out)
-    problem = build_problem(cfg)  # one instance shared by every grid point
+    problem = build_problem(cfg)  # one instance shared by every grid point this process solves
     points = _grid_points(cfg.sweep_axes)
 
-    # helpers start before the first point, so they load while it is solved
+    # helpers are forked before the first point, so they build their instance while it is solved
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helpers = min(cpus - 1, len(points) - 1)
     if helpers > 0:
-        rows = _rows_with_helpers(args, problem, cfg.solver, points, helpers)
+        rows = _rows_with_helpers(cfg, problem, points, helpers)
     else:
         rows = [_sweep_row(problem, cfg.solver, point) for point in points]
     worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
@@ -425,87 +422,92 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-# a helper interpreter: the package this process runs goes first on sys.path
-# (a caller may have put it there without PYTHONPATH), then it serves points
-HELPER_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from tsengsplit.cli import _serve_points; _serve_points(*sys.argv[2:])"
 CLAIMS_PER_WRITE = 1024  # 4-byte claims: 4 KiB, so each write to the claim pipe is atomic
+ROW_FIELDS = 4  # a sweep row as doubles: iters, final_metric, elapsed_s, 1 + status index (0: missing)
+STATUSES = tuple(EXIT_BY_STATUS)
 
 
-def _rows_with_helpers(args, problem: Problem, solver_cfg: SolverConfig, points: list, helpers: int) -> list[dict]:
+def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, helpers: int) -> list[dict]:
     """The rows of every grid point, solved by this process and ``helpers``
-    fresh interpreters side by side.
+    forked copies of it side by side.
 
     A thread writes the indices 0.. into a pipe as 4-byte claims, as GNU
-    make's jobserver hands out job slots; this process and every helper
-    read one claim at a time until the pipe ends, so a point goes to
-    whichever process is free.  A helper rebuilds the instance from the same
-    config and overrides and prints each row as a JSON line ``[i, row]``.
-    This process waits only while rows are missing, then runs every point no
-    helper returned (a helper that cannot start, dies or raises returns
-    none), so an error surfaces as in a serial sweep: errors are kept, and
-    the first in grid order is raised.  Every helper is killed and reaped
-    before this returns.
+    make's jobserver hands out job slots; every process reads one claim at
+    a time until the pipe ends, so a point goes to whichever is free, and
+    stores its row by grid index in one shared table.  A helper builds its
+    own instance (two processes reading one instance's pages run slower).
+    This process waits only while rows are missing, then runs every point
+    no helper stored (one that cannot start, dies or raises stores none),
+    so errors surface as in a serial sweep.  Every helper is killed and
+    reaped before this returns.
     """
-    import queue
-    import subprocess
+    import mmap
+    import signal
     import threading
 
-    results: dict[int, dict | Exception] = {}
+    table = memoryview(mmap.mmap(-1, 8 * ROW_FIELDS * len(points))).cast("d")
+    errors: dict[int, Exception] = {}
 
     def run_here(i: int) -> None:
         try:
-            results[i] = _sweep_row(problem, solver_cfg, points[i])
+            _store_row(table, i, _sweep_row(problem, cfg.solver, points[i]))
         except Exception as err:  # raised below, once every earlier point is known
-            results[i] = err
+            errors[i] = err
+
+    def missing(i: int) -> bool:
+        return i not in errors and not table[ROW_FIELDS * i + 3]
 
     claims, feed = os.pipe()
-    threads = [threading.Thread(target=_feed_claims, args=(feed, len(points)), daemon=True)]
-    threads[0].start()
-    messages: queue.SimpleQueue = queue.SimpleQueue()
-    procs: list[subprocess.Popen] = []
-    argv = [sys.executable, "-c", HELPER_CODE, str(Path(__file__).resolve().parent.parent), str(claims)]
+    # started after the forks: a helper must not inherit a thread's held lock
+    feeder = threading.Thread(target=_feed_claims, args=(feed, len(points)), daemon=True)
+    pids: list[int] = []
     try:
         for _ in range(helpers):
             try:
-                proc = subprocess.Popen(
-                    [*argv, json.dumps(vars(args))],
-                    stdin=subprocess.DEVNULL,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    pass_fds=(claims,),
-                )
+                pid = os.fork()
             except OSError:
                 break
-            procs.append(proc)
-            threads.append(threading.Thread(target=_relay_rows, args=(proc, messages), daemon=True))
-            threads[-1].start()
+            if pid == 0:  # a helper: every way out is os._exit, which flushes nothing
+                code = 1
+                try:
+                    os.close(feed)  # so the claim pipe ends once the feeder closes its end
+                    _serve_points(claims, table, cfg, points)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        feeder.start()
         while claim := os.read(claims, 4):
             run_here(int.from_bytes(claim, "little"))
-        live = len(procs)
-        while live and len(results) < len(points):
-            message = messages.get()
-            if message is None:  # a helper is gone
-                live -= 1
-            else:
-                results[message[0]] = message[1]
-        for i in range(len(points)):
-            if i not in results:
-                run_here(i)
+        # the pipe has ended, so each helper exits after its current point
+        while pids and any(map(missing, range(len(points)))):
+            os.waitpid(pids.pop(), 0)
     finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.wait()
-        os.close(claims)  # with every reader gone, a blocked feed write fails and the thread ends
-        for thread in threads:
-            thread.join()
-        for proc in procs:
-            proc.stdout.close()
-    rows = [results[i] for i in range(len(points))]
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
-    return rows
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        os.close(claims)  # with every reader gone, a blocked feed write fails and the feeder ends
+        if feeder.ident is None:
+            os.close(feed)
+        else:
+            feeder.join()
+    for i in filter(missing, range(len(points))):
+        run_here(i)
+    if errors:
+        raise errors[min(errors)]  # the first in grid order, as in a serial sweep
+    stored = [table[ROW_FIELDS * i : ROW_FIELDS * (i + 1)] for i in range(len(points))]
+    return [
+        {"point": point, "iters": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
+        for point, (n, m, e, s) in zip(points, stored)
+    ]
+
+
+def _store_row(table, i: int, row: dict) -> None:
+    """Put ``row`` at grid index ``i`` of the table, its status last: a row counts once it is set."""
+    at = ROW_FIELDS * i
+    table[at], table[at + 1], table[at + 2] = row["iters"], row["final_metric"], row["elapsed_s"]
+    table[at + 3] = STATUSES.index(row["status"]) + 1
 
 
 def _feed_claims(fd: int, count: int) -> None:
@@ -520,28 +522,13 @@ def _feed_claims(fd: int, count: int) -> None:
         os.close(fd)
 
 
-def _relay_rows(proc, messages) -> None:
-    """Put each ``[i, row]`` line a helper prints on ``messages``, then ``None`` when its output ends."""
-    for line in proc.stdout:
-        try:
-            messages.put(json.loads(line))
-        except ValueError:  # cut short by the helper's death
-            break
-    messages.put(None)
-
-
-def _serve_points(claims: str, args_json: str) -> None:
-    """A helper interpreter: solve the grid points it claims from the pipe
-    ``claims`` until the pipe ends, printing the JSON lines
-    :func:`_rows_with_helpers` reads.  Any error kills the helper, and the
-    parent runs its point again."""
-    args = argparse.Namespace(**json.loads(args_json))
-    cfg = _sweep_config(args)
+def _serve_points(claims: int, table, cfg: ExperimentConfig, points: list) -> None:
+    """A forked helper: build the instance, then solve and store in ``table``
+    each grid point it claims from the pipe ``claims``, until the pipe ends."""
     problem = build_problem(cfg)
-    points = _grid_points(cfg.sweep_axes)
-    while claim := os.read(int(claims), 4):
+    while claim := os.read(claims, 4):
         i = int.from_bytes(claim, "little")
-        print(json.dumps([i, _sweep_row(problem, cfg.solver, points[i])]), flush=True)
+        _store_row(table, i, _sweep_row(problem, cfg.solver, points[i]))
 
 
 def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
@@ -584,6 +571,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _require(args.q_bound is None or math.isfinite(args.q_bound), f"--q-bound must be finite, got {args.q_bound!r}")
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, ValueError) as err:

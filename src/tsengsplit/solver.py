@@ -465,8 +465,9 @@ def read_trace_csv(path) -> SolverTrace:
     numbered ``1..T``; a negative or non-finite ``residual``, ``E_n`` or
     ``dist``; a ``lambda`` that is not positive and finite; a status other
     than a finished run's; or footer counters that do not match the rows
-    (``T`` resolvent evaluations, and ``2T`` forward evaluations, one fewer
-    after an exact stop).
+    (``T`` resolvent evaluations, ``2T`` forward evaluations and at most
+    ``T`` tie breaks, one fewer of each of the last two after an exact
+    stop).
     """
     trace = SolverTrace()
     rows, inf = trace.rows, math.inf
@@ -503,10 +504,12 @@ def read_trace_csv(path) -> SolverTrace:
     t = len(rows)
     if trace.status not in (STATUS_EXACT, STATUS_TOL, STATUS_BUDGET):  # a diverged run writes no trace CSV
         raise ValueError(f"trace status {trace.status!r} is not a finished run's")
-    if (trace.resolvent_evals, trace.forward_evals) != (t, 2 * t - (trace.status == STATUS_EXACT)):
+    # every row but an exact stop's evaluates the forward map twice, and only those can break a tie
+    twice = t - (trace.status == STATUS_EXACT)
+    if (trace.resolvent_evals, trace.forward_evals) != (t, t + twice) or not 0 <= trace.tie_breaks <= twice:
         raise ValueError(
             f"footer counters resolvent_evals={trace.resolvent_evals} forward_evals={trace.forward_evals} "
-            f"do not match {t} rows"
+            f"tie_breaks={trace.tie_breaks} do not match {t} rows"
         )
     return trace
 

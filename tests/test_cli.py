@@ -2,6 +2,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -12,6 +13,14 @@ import pytest
 from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent, rational
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here leaves no child process, a sweep that forks helpers included."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_config(tmp_path, name, payload):
@@ -282,6 +291,21 @@ def test_certify_q_bound_flag(tmp_path):
     out = tmp_path / "strong_out"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear", "--q-bound", "0.99"]) == 0
+
+
+def no_certificate(*args, **kwargs):
+    raise AssertionError("the certificate ran")
+
+
+@pytest.mark.parametrize("q_bound", ["nan", "inf", "-inf", "1e400"])
+def test_certify_refuses_a_q_bound_that_is_not_finite(q_bound, tmp_path, affine_config, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
+    monkeypatch.setattr(cli, "certify_linear_rate", no_certificate)
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear", f"--q-bound={q_bound}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "--q-bound" in captured.err
 
 
 def test_trace_jsonl_is_valid(affine_config, tmp_path):
@@ -726,13 +750,16 @@ def run_sweep(cfg, out, monkeypatch, cpus, parent_delay_s=0.0, fail_at=lambda po
     """``sweep`` as if ``cpus`` CPUs were free, run in a thread that must
     finish within SWEEP_WAIT_S.  Each point this process solves is recorded
     and delayed by ``parent_delay_s``, so helpers get points to solve, and
-    raises where ``fail_at`` says.  Returns the exit code, the summary
-    without elapsed_s, the trends and the points solved here."""
+    raises where ``fail_at`` says; a forked helper inherits the patch but
+    solves its points unchanged.  Returns the exit code, the summary without
+    elapsed_s, the trends and the points solved here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     solved_here = []
-    real_row = cli._sweep_row
+    real_row, parent = cli._sweep_row, os.getpid()
 
     def row_here(problem, solver_cfg, point):
+        if os.getpid() != parent:
+            return real_row(problem, solver_cfg, point)
         solved_here.append(point)
         time.sleep(parent_delay_s)
         if fail_at(point):
@@ -749,83 +776,122 @@ def run_sweep(cfg, out, monkeypatch, cpus, parent_delay_s=0.0, fail_at=lambda po
     return rc, summary, (out / "sweep_trends.json").read_bytes(), solved_here
 
 
-def no_popen(*args, **kwargs):
-    raise AssertionError("a helper was started")
+def no_fork():
+    raise AssertionError("a helper was forked")
 
 
 @pytest.fixture
 def wide_sweep(tmp_path):
-    """The config and the serial run's outputs: on one CPU no helper starts."""
+    """The config and the serial run's outputs: on one CPU no helper is forked."""
     cfg = orthant_config(tmp_path, schedules={"p_seq": {"kind": "constant", "value": 1e300}}, sweep=WIDE_SWEEP)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subprocess, "Popen", no_popen)
+        mp.setattr(os, "fork", no_fork)
         *serial, solved_here = run_sweep(cfg, tmp_path / "serial", mp, cpus=1)
     assert serial[0] == 3 and len(solved_here) == 6
     return cfg, serial
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_sweep_on_several_cpus_matches_the_serial_sweep(cpus, wide_sweep, tmp_path, monkeypatch):
     cfg, serial = wide_sweep
     rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "wide", monkeypatch, cpus, parent_delay_s=0.5)
-    assert_no_child_left()
     assert (rc, summary, trends) == tuple(serial)
     assert len(solved_here) < 6  # helpers solved some points
 
 
 def test_grid_of_one_point_starts_no_helper(tmp_path, monkeypatch):
     cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3]}]})
-    monkeypatch.setattr(subprocess, "Popen", no_popen)
+    monkeypatch.setattr(os, "fork", no_fork)
     *_, solved_here = run_sweep(cfg, tmp_path / "one", monkeypatch, cpus=4)
     assert len(solved_here) == 1
+
+
+def test_platform_without_affinity_mask_forks_no_helper(wide_sweep, tmp_path, monkeypatch):
+    cfg, serial = wide_sweep
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "no_mask"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == serial[0]
+    assert (out / "sweep_trends.json").read_bytes() == serial[2]
 
 
 def test_helpers_start_before_the_first_point(tmp_path, monkeypatch):
     events = []
 
-    def popen(*args, **kwargs):
-        events.append("popen")
-        raise OSError("recorded, not started")
+    def fork():
+        events.append("fork")
+        raise OSError("recorded, not forked")
 
     real_row = cli._sweep_row
-    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "_sweep_row", lambda *args: events.append("row") or real_row(*args))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3, 0.6]}]})
     main(["sweep", "--config", cfg, "--out", str(tmp_path / "two"), "--quiet"])
-    assert events == ["popen", "row", "row"]
+    assert events == ["fork", "row", "row"]
 
 
 def test_helpers_that_cannot_start_leave_every_point_to_the_parent(wide_sweep, tmp_path, monkeypatch):
-    def refused(*args, **kwargs):
+    def refused():
         raise OSError("no processes left")
 
     cfg, serial = wide_sweep
-    monkeypatch.setattr(subprocess, "Popen", refused)
+    monkeypatch.setattr(os, "fork", refused)
     rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "refused", monkeypatch, cpus=4)
     assert (rc, summary, trends) == tuple(serial)
     assert len(solved_here) == 6
 
 
-def dying_helper(marker):
-    """Helper code that claims one point, records it in ``marker`` and dies holding it."""
-    return (
-        "import os, sys; claim = os.read(int(sys.argv[2]), 4); "
-        f"open({str(marker)!r}, 'w').write(str(int.from_bytes(claim, 'little'))); os._exit(1)"
+def test_helpers_read_no_setting_the_sweep_did_not_read(wide_sweep, tmp_path, monkeypatch):
+    # the config's grid is halved on disk once this process solves its first
+    # point: every row still comes from the config as the sweep read it
+    cfg, serial = wide_sweep
+    edited = json.loads(Path(cfg).read_text())
+    for axis in edited["sweep"]["axes"]:
+        axis["values"] = [v / 2 for v in axis["values"]]
+    real_row, parent = cli._sweep_row, os.getpid()
+
+    def row_after_edit(*args):
+        if os.getpid() == parent:
+            Path(cfg).write_text(json.dumps(edited))
+            time.sleep(0.5)  # so the helper solves some points
+        return real_row(*args)
+
+    monkeypatch.setattr(cli, "_sweep_row", row_after_edit)
+    rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "edited", monkeypatch, cpus=2)
+    assert (rc, summary, trends) == tuple(serial)
+    assert len(solved_here) < 6  # the helper solved some points
+
+
+def test_a_helper_writes_no_output_it_inherited(tmp_path):
+    # stdout into a pipe is block-buffered, so the first line is unwritten at the fork
+    cfg = orthant_config(tmp_path, schedules={"p_seq": {"kind": "constant", "value": 1e300}}, sweep=WIDE_SWEEP)
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; print('before the sweep'); "
+        "from tsengsplit.cli import main; sys.exit(main(sys.argv[1:]))"
     )
+    argv = [sys.executable, "-c", code, "sweep", "--config", cfg, "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=SWEEP_WAIT_S)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout.count("before the sweep") == 1 and proc.stdout.count('"lambda1": {') == 1
+
+
+def dying_helper(marker):
+    """A ``_serve_points`` that claims one point, records it in ``marker`` and dies holding it."""
+
+    def serve(claims, table, cfg, points):
+        marker.write_text(str(int.from_bytes(os.read(claims, 4), "little")))
+        os._exit(1)
+
+    return serve
 
 
 def test_point_of_a_dead_helper_is_solved_by_the_parent(wide_sweep, tmp_path, monkeypatch):
     cfg, serial = wide_sweep
     marker = tmp_path / "claimed"
-    monkeypatch.setattr(cli, "HELPER_CODE", dying_helper(marker))
+    monkeypatch.setattr(cli, "_serve_points", dying_helper(marker))
     rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "dead", monkeypatch, cpus=2, parent_delay_s=0.3)
-    assert_no_child_left()
     assert (rc, summary, trends) == tuple(serial)
     assert 0 <= int(marker.read_text()) <= 5  # the helper died holding a point
     assert len(solved_here) == 6
@@ -837,14 +903,13 @@ def test_first_error_in_grid_order_surfaces(wide_sweep, tmp_path, monkeypatch):
     cfg, _ = wide_sweep
     marker = tmp_path / "claimed"
     points = cli._grid_points(cli.load_config(cfg).sweep_axes)
-    monkeypatch.setattr(cli, "HELPER_CODE", dying_helper(marker))
+    monkeypatch.setattr(cli, "_serve_points", dying_helper(marker))
 
     def fail_at(point):
         return point == points[-1] or (marker.exists() and point == points[int(marker.read_text())])
 
     with pytest.raises(RuntimeError) as err:
         run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2, parent_delay_s=0.3, fail_at=fail_at)
-    assert_no_child_left()
     claimed = int(marker.read_text())
     assert claimed < len(points) - 1
     assert str(err.value) == f"failed at {points[claimed]}"
@@ -853,22 +918,27 @@ def test_first_error_in_grid_order_surfaces(wide_sweep, tmp_path, monkeypatch):
 def test_error_at_the_first_point_surfaces_while_a_helper_runs(wide_sweep, tmp_path, monkeypatch):
     cfg, _ = wide_sweep
     points = cli._grid_points(cli.load_config(cfg).sweep_axes)
-    procs, alive_at_error = [], []
-    real_popen = subprocess.Popen
+    pids, alive_at_error = [], []
+    real_fork, real_serve = os.fork, cli._serve_points
 
-    def popen(*args, **kwargs):
-        procs.append(real_popen(*args, **kwargs))
-        return procs[-1]
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def slow_serve(*args):  # as a helper building a large instance is, so this process claims point 0
+        time.sleep(1.0)
+        real_serve(*args)
 
     def fail_at(point):
         if point != points[0]:
             return False
-        alive_at_error.extend(proc.poll() is None for proc in procs)
+        alive_at_error.extend(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids)
         return True
 
-    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_serve_points", slow_serve)
     with pytest.raises(RuntimeError) as err:
         run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2, fail_at=fail_at)
-    assert_no_child_left()
     assert alive_at_error == [True]
     assert str(err.value) == f"failed at {points[0]}"

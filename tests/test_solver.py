@@ -417,6 +417,9 @@ UNWRITABLE = {
     "resolvent_evals_off": (lambda t: replace(t, resolvent_evals=t.resolvent_evals + 1), "footer counters"),
     # 2T - 1 forward evaluations only after an exact stop
     "forward_evals_short": (lambda t: replace(t, forward_evals=t.forward_evals - 1), "footer counters"),
+    "tie_breaks_negative": (lambda t: replace(t, tie_breaks=-5), "tie_breaks=-5"),
+    # at most one tie break an iteration
+    "tie_breaks_above_rows": (lambda t: replace(t, tie_breaks=len(t.rows) + 1), "tie_breaks=61"),
 }
 
 
@@ -447,6 +450,10 @@ def test_trace_csv_of_an_exact_stop_reads(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert trace_to_csv(read_trace_csv(path)) == path.read_text()
+    # the exact-stop iteration never reaches the tie branch
+    write_trace_csv(replace(trace, tie_breaks=len(trace)), path)
+    with pytest.raises(ValueError, match=f"tie_breaks={len(trace)} do not match"):
+        read_trace_csv(path)
 
 
 def test_trace_csv_rejects_garbage(tmp_path):
