@@ -71,7 +71,6 @@ from .solver import (
     certify_sqrt_rate,
     read_trace_csv,
     solve,
-    trace_row_json,
     trace_to_csv,
     write_trace_csv,
     write_trace_jsonl,

@@ -10,7 +10,8 @@ Subcommands:
   shared with helpers forked from the sweep, one per further CPU of the
   process's affinity mask, each building its own instance from the config
   the sweep read; rows keep grid order, and on one CPU (``taskset -c 0``)
-  or with one point the sweep runs serially.
+  or with one point the sweep runs serially.  A helper whose sweep is gone
+  (killed by a signal that runs no cleanup) exits after its current point.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -458,6 +460,7 @@ def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, he
         return i not in errors and not table[ROW_FIELDS * i + 3]
 
     claims, feed = os.pipe()
+    sweep = os.getpid()
     # started after the forks: a helper must not inherit a thread's held lock
     feeder = threading.Thread(target=_feed_claims, args=(feed, len(points)), daemon=True)
     pids: list[int] = []
@@ -471,7 +474,7 @@ def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, he
                 code = 1
                 try:
                     os.close(feed)  # so the claim pipe ends once the feeder closes its end
-                    _serve_points(claims, table, cfg, points)
+                    _serve_points(claims, table, cfg, points, sweep)
                     code = 0
                 finally:
                     os._exit(code)
@@ -522,11 +525,13 @@ def _feed_claims(fd: int, count: int) -> None:
         os.close(fd)
 
 
-def _serve_points(claims: int, table, cfg: ExperimentConfig, points: list) -> None:
+def _serve_points(claims: int, table, cfg: ExperimentConfig, points: list, sweep: int) -> None:
     """A forked helper: build the instance, then solve and store in ``table``
-    each grid point it claims from the pipe ``claims``, until the pipe ends."""
+    each grid point it claims from the pipe ``claims``, until the pipe ends
+    or the sweep process ``sweep`` is gone (a sweep killed by a signal runs
+    no ``finally`` and kills no helper, so a helper checks before each claim)."""
     problem = build_problem(cfg)
-    while claim := os.read(claims, 4):
+    while os.getppid() == sweep and (claim := os.read(claims, 4)):
         i = int.from_bytes(claim, "little")
         _store_row(table, i, _sweep_row(problem, cfg.solver, points[i]))
 
@@ -619,8 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call of a process and reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "solve": cmd_solve,
         "sweep": cmd_sweep,

@@ -28,15 +28,18 @@ CLI's ``sweep`` solves grid points in separate processes, each calling
 Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
 place the trace schema is written down; the CSV/JSONL writers, the reader,
 the summary and the empirical convergence-rate certificates read rows
-through it.  The certificates are a ``1/sqrt(n)`` envelope on the best
-fixed-point residual and a geometric-decay check on the distance to a
-known solution.
+through it.  The CSV and JSONL writers share one text per float: each
+row's ``lambda``, ``residual``, ``E_n`` and ``dist`` are formatted once
+per trace, and both files are rendered from those strings.  The
+certificates are a ``1/sqrt(n)`` envelope on the best fixed-point
+residual and a geometric-decay check on the distance to a known solution.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -61,7 +64,6 @@ __all__ = [
     "trace_to_csv",
     "write_trace_csv",
     "read_trace_csv",
-    "trace_row_json",
     "write_trace_jsonl",
 ]
 
@@ -180,6 +182,8 @@ class SolverTrace:
     resolvent_evals: int = 0
     tie_breaks: int = 0
     label: str = ""
+    # the rows that _float_texts last formatted, and their texts
+    _texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -434,6 +438,22 @@ def certify_linear_rate(trace: SolverTrace, q_bound: float | None = None) -> Rat
 # trace serialization
 # ---------------------------------------------------------------------------
 
+def _float_texts(trace: SolverTrace) -> list[tuple]:
+    """``repr`` of each row's ``lambda``, ``residual``, ``E_n`` and ``dist``
+    (``None`` when unrecorded), the one formatting both trace writers use.
+
+    Kept on the trace and remade only when its rows are no longer the very
+    tuples they were made from (the list replaced, grown or edited)."""
+    rows, memo = trace.rows, trace._texts
+    if memo is None or len(memo[0]) != len(rows) or not all(map(operator.is_, memo[0], rows)):
+        texts = [
+            (repr(float(lam)), repr(float(residual)), repr(float(e_n)), None if dist is None else repr(float(dist)))
+            for _, lam, residual, e_n, dist, _ in rows
+        ]
+        trace._texts = memo = (list(rows), texts)
+    return memo[1]
+
+
 def trace_to_csv(trace: SolverTrace) -> str:
     """Render the trace as CSV text under a :data:`TRACE_COLUMNS` header.
 
@@ -443,8 +463,10 @@ def trace_to_csv(trace: SolverTrace) -> str:
     counters ride in a ``#``-prefixed footer.
     """
     lines = [",".join(TRACE_COLUMNS)]
-    for n, *values, _elapsed_ms in trace.rows:
-        lines.append(",".join([str(n), *["" if v is None else repr(float(v)) for v in values], "0.0"]))
+    lines += [
+        f"{row[0]},{lam},{residual},{e_n},{'' if dist is None else dist},0.0"
+        for row, (lam, residual, e_n, dist) in zip(trace.rows, _float_texts(trace))
+    ]
     lines.append(
         f"# status={trace.status} forward_evals={trace.forward_evals} "
         f"resolvent_evals={trace.resolvent_evals} tie_breaks={trace.tie_breaks}"
@@ -514,22 +536,20 @@ def read_trace_csv(path) -> SolverTrace:
     return trace
 
 
-def trace_row_json(row: tuple) -> str:
-    """A trace row as the JSON object ``json.dumps(dict(zip(TRACE_COLUMNS, row)))``
-    writes, rendered from one template instead of a dict per row."""
-    n, lam, residual, e_n, dist, elapsed_ms = row
-    dist = "null" if dist is None else repr(float(dist))
-    line = (
-        f'{{"n": {n}, "lambda": {float(lam)!r}, "residual": {float(residual)!r}, "E_n": {float(e_n)!r}, '
-        f'"dist": {dist}, "elapsed_ms": {float(elapsed_ms)!r}}}'
-    )
-    if "nan" in line or "inf" in line:  # no key holds these: they are floats, which JSON spells NaN, Infinity
-        line = line.replace("nan", "NaN").replace("inf", "Infinity")
-    return line
-
-
 def write_trace_jsonl(trace: SolverTrace, path) -> None:
-    """One JSON object per row (measured ``elapsed_ms``), then a summary record."""
+    """One JSON object per row (measured ``elapsed_ms``), then a summary record.
+
+    A row is what ``json.dumps(dict(zip(TRACE_COLUMNS, row)))`` writes,
+    rendered from one template instead of a dict per row."""
+    lines = []
+    for row, (lam, residual, e_n, dist) in zip(trace.rows, _float_texts(trace)):
+        line = (
+            f'{{"n": {row[0]}, "lambda": {lam}, "residual": {residual}, "E_n": {e_n}, '
+            f'"dist": {"null" if dist is None else dist}, "elapsed_ms": {float(row[5])!r}}}\n'
+        )
+        if "nan" in line or "inf" in line:  # no key holds these: they are floats, which JSON spells NaN, Infinity
+            line = line.replace("nan", "NaN").replace("inf", "Infinity")
+        lines.append(line)
+    lines.append(json.dumps(trace.summary()) + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(trace_row_json(r) + "\n" for r in trace.rows)
-        fh.write(json.dumps(trace.summary()) + "\n")
+        fh.writelines(lines)

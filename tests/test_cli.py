@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -306,6 +307,39 @@ def test_certify_refuses_a_q_bound_that_is_not_finite(q_bound, tmp_path, affine_
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear", f"--q-bound={q_bound}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1 and "--q-bound" in captured.err
+
+
+def test_one_parser_reads_every_call_of_a_process_as_a_fresh_one_would(monkeypatch, capsys):
+    # main() builds its parser once; no call, a usage error included, leaves state for the next
+    fresh, builds, parsed = cli.build_parser, [], []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or fresh())
+    for name in ("cmd_solve", "cmd_sweep", "cmd_certify"):
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
+    cli._parser.cache_clear()
+    calls = [
+        ["solve", "--config", "a.json", "--quiet", "--seed", "3"],
+        ["solve", "--config", "a.json"],
+        ["certify", "--trace", "t.csv", "--kind", "linear", "--q-bound", "0.5"],
+        ["certify", "--trace", "t.csv", "--kind", "linear"],
+        ["solve", "--seed", "4"],  # no --config: a usage error
+        ["sweep", "--config", "b.json", "--max-iters", "5", "--tol", "1e-3"],
+        ["certify", "--trace", "t.csv", "--kind", "cubic"],
+        ["solve", "--config", "a.json"],
+        ["certify", "--trace", "t.csv", "--kind", "sqrt"],
+    ]
+    for argv in calls:
+        try:
+            expected = fresh().parse_args(argv)
+        except SystemExit as usage:
+            fresh_err = capsys.readouterr().err
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert (err.value.code, capsys.readouterr().err) == (usage.code, fresh_err)
+            assert usage.code == 2 and "usage: tsengsplit" in fresh_err
+        else:
+            assert main(argv) == 0
+            assert parsed.pop() == expected
+    assert parsed == [] and len(builds) == 1
 
 
 def test_trace_jsonl_is_valid(affine_config, tmp_path):
@@ -877,10 +911,75 @@ def test_a_helper_writes_no_output_it_inherited(tmp_path):
     assert proc.stdout.count("before the sweep") == 1 and proc.stdout.count('"lambda1": {') == 1
 
 
+# a sweep on 2 mocked CPUs whose points take ORPHAN_POINT_S each; it prints
+# its helper's pid and kills itself with SIGKILL, which runs no ``finally``,
+# right after it stores its first row
+ORPHAN_POINT_S = 0.5
+ORPHAN_SWEEP = """
+import os, signal, sys, time
+from tsengsplit import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+sweep, fork, row, store = os.getpid(), os.fork, cli._sweep_row, cli._store_row
+
+
+def recorded_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+def slow_row(*args):
+    time.sleep(%r)
+    return row(*args)
+
+
+def store_then_die(*args):
+    store(*args)
+    if os.getpid() == sweep:
+        os.kill(sweep, signal.SIGKILL)
+
+
+os.fork, cli._sweep_row, cli._store_row = recorded_fork, slow_row, store_then_die
+cli.main(sys.argv[1:])
+""" % ORPHAN_POINT_S
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_helper_exits_after_its_point_when_its_sweep_is_killed(tmp_path):
+    # 12 points: a helper that served claims for nobody would run about 5 s longer
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.05 * k for k in range(1, 13)]}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-c", ORPHAN_SWEEP, "sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    # the helper holds the stdout pipe open: wait for the sweep process, not for the pipe's end
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+        helper = int(proc.stdout.readline())
+        assert proc.wait(timeout=SWEEP_WAIT_S) == -signal.SIGKILL
+        proc.stdout.close()
+    try:
+        # it was solving at most one point when its sweep died
+        deadline = time.monotonic() + ORPHAN_POINT_S + 1.0
+        while running(helper) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not running(helper)
+    finally:
+        if running(helper):
+            os.kill(helper, signal.SIGKILL)
+
+
 def dying_helper(marker):
     """A ``_serve_points`` that claims one point, records it in ``marker`` and dies holding it."""
 
-    def serve(claims, table, cfg, points):
+    def serve(claims, table, cfg, points, sweep):
         marker.write_text(str(int.from_bytes(os.read(claims, 4), "little")))
         os._exit(1)
 

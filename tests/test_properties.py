@@ -1,11 +1,13 @@
-"""Property tests: the trace record round-trips through its files, no
-config, however malformed, makes the CLI leave its documented exit codes,
-every schedule that constructs runs with its step inside the interval of
-the paper's step-size lemma, and the exact weak-regime clauses agree with
+"""Property tests: the trace record round-trips through its files, which
+spell each float as its own ``repr`` does, no config and no edit of a
+trace's bytes makes the CLI leave its documented exit codes, every
+schedule that constructs runs with its step inside the interval of the
+paper's step-size lemma, and the exact weak-regime clauses agree with
 dense evaluation of the sequences, as the sampled clause (iv) does on
 the indices it samples."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +36,6 @@ from tsengsplit import (
     rational,
     read_trace_csv,
     solve,
-    trace_row_json,
     validate_c3,
     write_trace_csv,
     write_trace_jsonl,
@@ -74,12 +76,74 @@ def test_trace_record_round_trips(rows, status, data):
     assert records[-1]["iterations"] == len(rows)
 
 
+def csv_by_formula(trace: SolverTrace) -> str:
+    """The trace CSV with each float formatted by its own ``repr`` call."""
+    lines = [",".join(TRACE_COLUMNS)]
+    for n, *values, _elapsed_ms in trace.rows:
+        lines.append(",".join([str(n), *["" if v is None else repr(float(v)) for v in values], "0.0"]))
+    lines.append(
+        f"# status={trace.status} forward_evals={trace.forward_evals} "
+        f"resolvent_evals={trace.resolvent_evals} tie_breaks={trace.tie_breaks}"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def jsonl_by_formula(trace: SolverTrace) -> str:
+    """The trace JSONL with each row a dict given to ``json.dumps``."""
+    records = [dict(zip(TRACE_COLUMNS, row)) for row in trace.rows] + [trace.summary()]
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+def written(trace: SolverTrace, tmp: str) -> tuple[str, str]:
+    """The text of the CSV and the JSONL the writers make of ``trace`` in ``tmp``."""
+    csv_path, jsonl_path = Path(tmp) / "trace.csv", Path(tmp) / "trace.jsonl"
+    write_trace_csv(trace, csv_path)
+    write_trace_jsonl(trace, jsonl_path)
+    return csv_path.read_text(encoding="utf-8"), jsonl_path.read_text(encoding="utf-8")
+
+
+# every float, with signed zeros, subnormals and the largest float drawn often
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308])
+ROW = st.tuples(st.integers(), FLOATS, FLOATS, FLOATS, st.none() | FLOATS, FLOATS)
+EDGE_ROWS = [
+    (1, math.nan, math.inf, -math.inf, None, -0.0),
+    (7, 1e-300, 5e-324, 1.7976931348623157e308, -math.nan, 12.5),
+    (8, -0.0, 2.225073858507201e-308, -1.7976931348623157e308, -0.0, math.inf),
+]
+
+
 @SETTINGS
-@given(row=st.tuples(st.integers(), st.floats(), st.floats(), st.floats(), st.none() | st.floats(), st.floats()))
-@example(row=(1, math.nan, math.inf, -math.inf, None, -0.0))
-@example(row=(7, 1e-300, 5e-324, 1.7976931348623157e308, -math.nan, 12.5))
+@given(row=ROW)
+@example(row=EDGE_ROWS[0])
+@example(row=EDGE_ROWS[1])
 def test_jsonl_row_template_writes_what_json_dumps_writes(row):
-    assert trace_row_json(row) == json.dumps(dict(zip(TRACE_COLUMNS, row)))
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl = written(SolverTrace(rows=[row]), tmp)[1]
+    assert jsonl.splitlines()[0] == json.dumps(dict(zip(TRACE_COLUMNS, row)))
+
+
+@SETTINGS
+@given(rows=st.lists(ROW, max_size=6), other=st.lists(ROW, min_size=1, max_size=6), data=st.data())
+@example(rows=EDGE_ROWS, other=EDGE_ROWS[::-1], data=None)
+def test_both_trace_files_spell_each_float_as_its_own_repr(rows, other, data):
+    # the writers format each float once per trace and share the text: after
+    # a first write, rows replaced, appended to or edited must render as they are now
+    trace = SolverTrace(rows=list(rows), status="max_iters", forward_evals=3, resolvent_evals=2, tie_breaks=1)
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def check():
+            assert written(trace, tmp) == (csv_by_formula(trace), jsonl_by_formula(trace))
+
+        check()
+        trace = replace(trace, rows=list(other))
+        check()
+        trace.rows.append(rows[0] if rows else other[0])
+        check()
+        trace.rows[data.draw(st.integers(0, len(trace.rows) - 1), label="edited") if data else 0] = other[-1]
+        check()
+        trace.rows.pop()
+        trace.rows.append(rows[-1] if rows else other[-1])
+        check()
 
 
 # --- fuzzed configs ------------------------------------------------------------
@@ -159,6 +223,72 @@ def test_fuzzed_config_keeps_the_exit_code_contract(family, preset, edits):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)  # a traceback fails the test
     assert code in (0, 1, 2, 3)
+
+
+# --- fuzzed trace text ---------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.cache
+def solve_written_trace() -> bytes:
+    """The trace.csv ``solve`` writes for a shipped config both certificates pass."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["solve", "--config", str(CONFIGS / "oracle_strong_linear.json"), "--out", tmp, "--quiet"]) == 0
+        return (Path(tmp) / "trace.csv").read_bytes()
+
+
+def mutate(text: bytes, kind: str, draw) -> bytes:
+    """``text`` with one edit of the kind named, its place drawn by ``draw``."""
+    lines = text.split(b"\n")
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if kind == "non_finite":
+        at = draw(st.integers(0, len(lines) - 1))
+        cols = lines[at].split(b",")
+        literal = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"nan", b"inf"]))
+        cols[draw(st.integers(0, len(cols) - 1))] = literal
+        lines[at] = b",".join(cols)
+    elif kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    elif kind == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    elif kind == "trailing_spaces":
+        lines[draw(st.integers(0, len(lines) - 1))] += b" " * draw(st.integers(1, 3))
+    elif kind in ("footer_twice", "footer_missing"):
+        footers = [i for i, line in enumerate(lines) if line.startswith(b"#")]
+        if footers:
+            at = footers[-1]
+            lines[at : at + 1] = [lines[at]] * 2 if kind == "footer_twice" else []
+    else:  # non_utf8
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])) + text[at:]
+    return b"\n".join(lines)
+
+
+MUTATIONS = ["truncate", "non_finite", "bom", "crlf", "trailing_spaces", "footer_twice", "footer_missing", "non_utf8"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3),
+    certificate=st.sampled_from(["sqrt", "linear"]),
+    data=st.data(),
+)
+def test_fuzzed_trace_keeps_the_certify_exit_code_contract(kinds, certificate, data):
+    # a trace solve wrote, edited byte by byte up to three times
+    text = solve_written_trace()
+    for kind in kinds:
+        text = mutate(text, kind, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["certify", "--trace", str(path), "--kind", certificate])  # a traceback fails the test
+    assert code in (0, 1, 2)
+    if code != 2:
+        json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"certify printed {name}"))
 
 
 # --- the step-size interval ------------------------------------------------------
