@@ -375,8 +375,9 @@ def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
 
 
 def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> dict:
-    """The row of one grid point, solved on ``problem``."""
-    run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point))
+    """The row of one grid point, solved on ``problem``; a row holds no
+    distance to the solution, so none is recorded."""
+    run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point), record_distance=False)
     t0 = time.perf_counter()
     try:
         _, trace = solve(problem, run_cfg)

@@ -95,7 +95,7 @@ class ConvexSetProjector:
 
 
 def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
-    """Affine map ``x -> M x + q``.
+    """Affine map ``x -> M x + q``, evaluated as ``M x`` when ``q`` is zero.
 
     The Lipschitz field is a spectral-norm estimate of ``M`` (100 power
     iterations); the strong-monotonicity modulus is the clipped smallest
@@ -108,7 +108,8 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
     if q.shape != (m_mat.shape[0],):
         raise DimensionMismatchError(f"q has shape {q.shape}, expected ({m_mat.shape[0]},)")
     return ForwardOperator(
-        fn=lambda x: m_mat @ x + q,
+        # adding a zero q could only turn a -0.0 into 0.0
+        fn=(lambda x: m_mat @ x + q) if q.any() else m_mat.__matmul__,
         estimators={
             "lipschitz": lambda: spectral_norm_estimate(m_mat, steps=100),
             "strong_monotone_modulus": lambda: max(0.0, float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])),

@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from itertools import count, repeat
+from typing import Callable, Iterator
 
 __all__ = [
     "SEQUENCE_KINDS",
@@ -101,6 +102,13 @@ class SequenceSpec:
         if self.kind == "one_minus_pow10":
             return 1.0 - 10.0 ** (-n)
         return 1.0 / (n * n)
+
+    def terms(self) -> Iterator[float]:
+        """The terms at n = 1, 2, ..., endlessly: the values :meth:`at`
+        gives, without a call per term for a constant."""
+        if self.kind == "constant":
+            return repeat(self.value)
+        return map(self.at, count(1))
 
     def limit(self) -> float:
         """Value as n -> infinity (every family member converges)."""

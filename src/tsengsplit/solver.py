@@ -19,11 +19,26 @@ resolvent evaluation and six vector norms: ``||w - y||`` (the residual,
 also the step-ratio numerator), ``||w||``, ``||A(w) - A(y)||``,
 ``||A(w)||``, the stop metric and the distance to a known solution (five
 without ``record_distance``, one fewer under the ``residual`` stop rule,
-which reuses the residual).  :func:`solve` is the one iteration loop.  A
-run is strictly sequential; concurrent runs may share problems and
-schedules because those are immutable.  Parallelism lives above it: the
-CLI's ``sweep`` solves grid points in separate processes, each calling
-:func:`solve` on its own copy of the instance.
+which reuses the residual; the descent test adds two).  The rest is
+bookkeeping: the two extrapolations, the blend, the step rule and one
+schedule term per sequence, read from :meth:`SequenceSpec.terms` (a
+constant costs no call).
+
+Non-finite values are found by as few numpy calls as the order of the
+checks allows.  ``A(w)`` is checked, by one dot product with a zero
+vector, before ``A(y)`` is evaluated.  ``y`` and ``x_{n+1}`` are not
+checked on their own: a non-finite ``y`` fails the residual norm and a
+non-finite ``x_{n+1}`` the stop metric's norm.  Only the descent test,
+which comes before that norm, and the ``residual`` rule, which takes
+none, check ``x_{n+1}`` explicitly.  When a norm fails, ``y`` and then
+``x_{n+1}`` are re-checked, so the error, the partial trace and the
+counters are those of a check made right after each value.
+
+:func:`solve` is the one iteration loop.  A run is strictly sequential;
+concurrent runs may share problems and schedules because those are
+immutable.  Parallelism lives above it: the CLI's ``sweep`` solves grid
+points in separate processes, each calling :func:`solve` on its own copy
+of the instance.
 
 Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
 place the trace schema is written down; the CSV/JSONL writers, the reader,
@@ -229,6 +244,11 @@ def _all_finite(v: Vector, zeros: Vector) -> bool:
     return not math.isnan(v.dot(zeros))
 
 
+# the two values of an iteration checked by name, in the order it makes them
+NONFINITE_OPERATOR = "non-finite operator value at iteration {n}"
+NONFINITE_ITERATE = "non-finite iterate or step size (next lambda {lam_next!r}) at iteration {n}"
+
+
 def solve(
     problem: Problem,
     config: SolverConfig,
@@ -242,7 +262,7 @@ def solve(
     problem, config, and initial points give bit-identical traces.
     Non-finite values raise :class:`DivergenceError` carrying the partial
     trace; numpy's overflow warnings are silenced because every value
-    that could carry one is checked explicitly.
+    that could carry one is checked, explicitly or by a norm taken of it.
     """
     px0, px1 = problem.initial_points()
     x_prev = as_vector(x0, name="x0") if x0 is not None else px0
@@ -250,8 +270,10 @@ def solve(
     if x_curr.shape != x_prev.shape:
         raise ValueError(f"dimension mismatch: {x_curr.shape} vs {x_prev.shape}")
     sched = config.schedules
-    alpha_at, beta_at, theta_at = sched.alpha.at, sched.beta.at, sched.theta.at
-    mu_at, p_at = sched.mu_seq.at, sched.p_seq.at
+    terms = zip(
+        range(1, config.max_iters + 1),
+        sched.alpha.terms(), sched.beta.terms(), sched.theta.terms(), sched.mu_seq.terms(), sched.p_seq.terms(),
+    )
     mu, lam = sched.mu, sched.lambda1
     wts = problem.weights
     forward, backward = problem.forward, problem.backward
@@ -259,26 +281,31 @@ def solve(
     dist_from = p_star if config.record_distance else None
     check_descent = config.assert_descent and p_star is not None
     stop_rule, tol = config.stop_rule, config.tol
+    # a non-finite x_next fails the E_n norm, but the descent test comes
+    # before that norm and the residual rule takes none: those check it
+    check_next = check_descent or stop_rule == "residual"
     zeros = np.zeros(x_curr.shape)
+    isnan, inf = math.isnan, math.inf
     trace = SolverTrace(label=problem.label)
     rows = trace.rows
     forward_evals = resolvent_evals = tie_breaks = 0
     status = STATUS_BUDGET
+    y = x_next = None  # for the handler below; a finished iteration leaves finite values here
     clock = time.perf_counter
     start = clock()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, config.max_iters + 1):
-                theta_n, mu_n, p_n = theta_at(n), mu_at(n), p_at(n)
+            for n, alpha_n, beta_n, theta_n, mu_n, p_n in terms:
                 step = x_curr - x_prev
-                w = x_curr + alpha_at(n) * step
-                z = x_curr + beta_at(n) * step
+                w = x_curr + alpha_n * step
+                z = x_curr + beta_n * step
                 aw = forward(w)
                 y = backward(w - lam * aw, lam)
                 forward_evals += 1
                 resolvent_evals += 1
-                if not (_all_finite(aw, zeros) and _all_finite(y, zeros)):
-                    raise DivergenceError(f"non-finite operator value at iteration {n}", trace)
+                # A(w) before A(y) is evaluated; a non-finite y fails the residual norm
+                if isnan(aw.dot(zeros)):  # not _all_finite(aw, zeros)
+                    raise DivergenceError(NONFINITE_OPERATOR.format(n=n), trace)
 
                 residual = norm(w - y, wts)
                 if residual <= EXACT_STOP_REL * (1.0 + norm(w, wts)):
@@ -297,10 +324,8 @@ def solve(
                         lam_next = min((mu + mu_n) * residual / da, lam_next)
                     corrected = y - lam * d_a
                     x_next = (1.0 - theta_n) * z + theta_n * corrected
-                    if not (_all_finite(x_next, zeros) and 0.0 < lam_next < math.inf):
-                        raise DivergenceError(
-                            f"non-finite iterate or step size (next lambda {lam_next!r}) at iteration {n}", trace
-                        )
+                    if not 0.0 < lam_next < inf or (check_next and not _all_finite(x_next, zeros)):
+                        raise DivergenceError(NONFINITE_ITERATE.format(lam_next=lam_next, n=n), trace)
                     if check_descent:
                         # squares by multiplication: an overflow reads inf, never raises
                         ratio = (mu + mu_n) * lam / lam_next
@@ -328,10 +353,18 @@ def solve(
                 if e_n <= tol:
                     status = STATUS_TOL
                     break
-    except (DivergenceError, NonFiniteError) as err:
+    except NonFiniteError as err:
         status = STATUS_DIVERGED
-        if isinstance(err, NonFiniteError):
-            raise DivergenceError(f"overflow while iterating: {err}", trace) from err
+        # a norm failed: name what a check right after y, then after
+        # x_next, would have (until this iteration makes them, they hold
+        # the last one's finite values)
+        if y is not None and not np.isfinite(y).all():
+            raise DivergenceError(NONFINITE_OPERATOR.format(n=n), trace) from None
+        if x_next is not None and not np.isfinite(x_next).all():
+            raise DivergenceError(NONFINITE_ITERATE.format(lam_next=lam_next, n=n), trace) from None
+        raise DivergenceError(f"overflow while iterating: {err}", trace) from err
+    except DivergenceError:
+        status = STATUS_DIVERGED
         raise
     finally:
         trace.status = status
@@ -489,10 +522,12 @@ def read_trace_csv(path) -> SolverTrace:
     than a finished run's; or footer counters that do not match the rows
     (``T`` resolvent evaluations, ``2T`` forward evaluations and at most
     ``T`` tie breaks, one fewer of each of the last two after an exact
-    stop).
+    stop); or a footer that is not the one last line, or that names a key
+    twice.
     """
     trace = SolverTrace()
     rows, inf = trace.rows, math.inf
+    footer = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(TRACE_COLUMNS):
@@ -501,9 +536,14 @@ def read_trace_csv(path) -> SolverTrace:
             line = line.strip()
             if not line:
                 continue
+            if footer is not None:
+                raise ValueError(f"trace continues after its footer: {line!r}")
             if line.startswith("#"):
-                for part in line[1:].split():
-                    key, _, val = part.partition("=")
+                footer = [part.partition("=") for part in line[1:].split()]
+                keys = [key for key, _, _ in footer]
+                if len(set(keys)) != len(keys):
+                    raise ValueError(f"trace footer repeats a key: {line!r}")
+                for key, _, val in footer:
                     if key == "status":
                         trace.status = val
                     elif key in ("forward_evals", "resolvent_evals", "tie_breaks"):

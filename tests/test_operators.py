@@ -33,6 +33,19 @@ def test_affine_direct_arithmetic():
     assert np.allclose(op(np.array([1.0, 1.0])), [3.0, 1.0])
 
 
+@pytest.mark.parametrize("q_kind", ["zero", "nonzero"])
+def test_affine_forward_is_m_x_plus_q(q_kind):
+    # the solver's reference loop calls the operator, so it cannot see how the map is evaluated
+    gen = np.random.default_rng(3)
+    m_mat = gen.uniform(-5.0, 5.0, (6, 6))
+    q = np.zeros(6) if q_kind == "zero" else gen.uniform(-1.0, 1.0, 6)
+    op = affine_forward(m_mat, q)
+    special = [[0.0, -0.0, np.inf, 0.0, -0.0, 1.0], [-np.inf, -0.0, 0.0, 2.0, 0.0, -0.0], [np.nan, 0.0, 1.0, -0.0, 0.0, 0.0]]
+    for x in (gen.standard_normal(6), np.zeros(6), -np.zeros(6), *map(np.array, special)):
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(op(x), m_mat @ x + q, equal_nan=True)
+
+
 def test_affine_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         affine_forward(np.eye(2), np.zeros(3))

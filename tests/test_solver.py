@@ -423,15 +423,37 @@ UNWRITABLE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNWRITABLE))
-def test_trace_csv_refuses_what_solve_never_writes(case, tmp_path):
-    edit, refusal = UNWRITABLE[case]
+# and footers solve never writes, made on the text: solve writes one, as the last line
+UNWRITABLE_FOOTERS = {
+    "footer_twice": (lambda lines: [*lines, lines[-1]], "continues after its footer"),
+    "footer_before_rows": (lambda lines: [lines[0], lines[-1], *lines[1:-1]], "continues after its footer"),
+    # the second status would win, and a finished run's status reads
+    "status_twice": (lambda lines: [*lines[:-1], lines[-1] + " status=tolerance_met"], "repeats a key"),
+}
+
+
+def budget_trace():
     prob = gen_oracle_strong(RngStream(41), m=4, rho=1.0)
     cfg = SolverConfig(schedules=preset("paper_default"), max_iters=60, tol=1e-30, record_distance=True)
     _, trace = solve(prob, cfg)
     assert trace.status == "max_iters"
+    return trace
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_trace_csv_refuses_what_solve_never_writes(case, tmp_path):
+    edit, refusal = UNWRITABLE[case]
     path = tmp_path / "trace.csv"
-    write_trace_csv(edit(trace), path)
+    write_trace_csv(edit(budget_trace()), path)
+    with pytest.raises(ValueError, match=refusal):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_FOOTERS))
+def test_trace_csv_refuses_a_footer_solve_never_writes(case, tmp_path):
+    edit, refusal = UNWRITABLE_FOOTERS[case]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(edit(trace_to_csv(budget_trace()).splitlines())) + "\n")
     with pytest.raises(ValueError, match=refusal):
         read_trace_csv(path)
 
