@@ -38,6 +38,28 @@ def as_vector(x, *, name: str = "vector") -> Vector:
     return v
 
 
+def aligned_empty(shape: tuple[int, ...]) -> Matrix:
+    """Uninitialized C-contiguous float64 array whose data starts on a 64-byte boundary.
+
+    malloc aligns to 16 bytes only, so a 64-byte vector load of a matrix it
+    holds may span two cache lines; no load of one stored here does.
+    """
+    nbytes = 8 * math.prod(shape)
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start : start + nbytes].view(np.float64).reshape(shape)
+
+
+def aligned_matrix(m: Matrix) -> Matrix:
+    """``m`` itself when it is C-contiguous float64 on a 64-byte boundary, else one such copy."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.flags.c_contiguous and m.ctypes.data % 64 == 0:
+        return m
+    out = aligned_empty(m.shape)
+    out[...] = m
+    return out
+
+
 def _check_same_dim(a: Vector, b: Vector) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")

@@ -10,6 +10,11 @@ Operators are immutable after construction and evaluation is pure, so
 they are safe to share between concurrent solver runs.  Lipschitz and
 strong-monotonicity metadata are optional estimates used by validators
 and certificates only; the solver itself never needs them.
+
+A forward map that multiplies by a dense matrix keeps it C-contiguous and
+starting on a 64-byte boundary (``linalg.aligned_matrix``), so no vector
+load of the matrix spans two cache lines whatever address malloc gave the
+caller's array.  The values, and so the products, are the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .linalg import (
     DimensionMismatchError,
     Matrix,
     Vector,
+    aligned_matrix,
     inner,
     norm,
     spectral_norm_estimate,
@@ -100,8 +106,10 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
     The Lipschitz field is a spectral-norm estimate of ``M`` (100 power
     iterations); the strong-monotonicity modulus is the clipped smallest
     eigenvalue of the symmetric part.  Both are computed on first read.
+    ``M`` is kept as given when it is C-contiguous on a 64-byte boundary,
+    else as one aligned copy; the map and both estimates read that array.
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = aligned_matrix(m_mat)
     q = np.asarray(q, dtype=np.float64)
     if m_mat.ndim != 2 or m_mat.shape[0] != m_mat.shape[1]:
         raise DimensionMismatchError(f"M must be square, got shape {m_mat.shape}")
@@ -121,9 +129,11 @@ def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
     """Gradient ``x -> A^T (A x - y)`` of the least-squares loss ``0.5*||Ax - y||^2``.
 
     The Lipschitz field, the squared spectral-norm estimate of ``A`` (100
-    power iterations), is computed on first read.
+    power iterations), is computed on first read.  ``A`` is kept as given
+    when it is C-contiguous on a 64-byte boundary, else as one aligned copy;
+    the map and the estimate read that array.
     """
-    a_mat = np.asarray(a_mat, dtype=np.float64)
+    a_mat = aligned_matrix(a_mat)
     y = np.asarray(y, dtype=np.float64)
     if a_mat.ndim != 2:
         raise DimensionMismatchError("A must be a matrix")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Matrix, RngStream, Vector, as_vector, uniform_matrix
+from .linalg import Matrix, RngStream, Vector, aligned_empty, as_vector, uniform_matrix
 from .operators import (
     affine_forward,
     least_squares_gradient,
@@ -80,14 +80,15 @@ def gen_lasso(
     with support drawn without replacement and values uniform on [-1, 1],
     and per-component Gaussian noise of the given variance on the
     measurements.  The l1 weight defaults to ``reg_scale * ||A^T y||_inf``
-    unless given explicitly.  Initial points are zero.
+    unless given explicitly.  Initial points are zero.  ``A`` is drawn
+    straight into 64-byte-aligned storage, which the forward map keeps as is.
     """
     if not (0 < k < m_rows < n_cols):
         raise ValueError(f"need 0 < k < m_rows < n_cols, got ({k}, {m_rows}, {n_cols})")
     if not 0 <= noise_var < math.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     gen = rng.generator()
-    a_mat = gen.standard_normal((m_rows, n_cols))
+    a_mat = gen.standard_normal(out=aligned_empty((m_rows, n_cols)))
     support = gen.choice(n_cols, size=k, replace=False)
     vals = gen.uniform(-1.0, 1.0, size=k)
     while (vals == 0.0).any():  # keep the support size exactly k

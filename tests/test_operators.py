@@ -17,7 +17,8 @@ from tsengsplit import (
     uniform_matrix,
     weighted_hyperplane_projector,
 )
-from tsengsplit.linalg import DimensionMismatchError
+from tsengsplit import linalg
+from tsengsplit.linalg import DimensionMismatchError, aligned_matrix
 
 
 # --- affine forward -------------------------------------------------------
@@ -128,6 +129,78 @@ def test_lsq_gradient_finite_differences():
     a = g.standard_normal((10, 7))
     y = g.standard_normal(10)
     _fd_gradient_check(a, y, g.standard_normal(7))
+
+
+# --- storage of the matrix a forward map multiplies by ---------------------
+
+
+def forward_matrix(op):
+    """The matrix ``op`` multiplies by, read from its bound method or closure."""
+    fn = op.fn
+    held = [fn.__self__] if hasattr(fn, "__self__") else [cell.cell_contents for cell in fn.__closure__]
+    (mat,) = [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
+    for estimate in op.estimators.values():  # the estimates read that same array
+        assert any(cell.cell_contents is mat for cell in estimate.__closure__)
+    return mat
+
+
+def at_byte_offset(values, offset):
+    """A C-contiguous copy of ``values`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(values.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start : start + values.nbytes].view(np.float64).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+def _matrix_operators(gen, mat):
+    """Each matrix forward map built on ``mat``, with the map it must equal bit for bit."""
+    rows, cols = mat.shape
+    y = gen.standard_normal(rows)
+    ops = [(least_squares_gradient(mat, y), lambda x: mat.T @ (mat @ x - y))]
+    if rows == cols:
+        q = gen.standard_normal(rows)
+        ops += [(affine_forward(mat, q), lambda x: mat @ x + q), (affine_forward(mat, np.zeros(rows)), mat.__matmul__)]
+    return ops
+
+
+@pytest.mark.parametrize("shape", [(256, 512), (50, 50)])
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+def test_misaligned_matrix_is_copied_once_and_left_untouched(monkeypatch, shape, offset):
+    gen = np.random.default_rng(offset)
+    values = gen.standard_normal(shape)
+    mat = at_byte_offset(values, offset)
+    address = mat.ctypes.data
+    allocations = []
+    real = linalg.aligned_empty
+    monkeypatch.setattr(linalg, "aligned_empty", lambda size: allocations.append(size) or real(size))
+    ops = _matrix_operators(gen, mat)
+    assert allocations == [shape] * len(ops)  # one copy per operator, shared by its map and estimates
+    for op, reference in ops:
+        kept = forward_matrix(op)
+        assert kept.flags.c_contiguous and kept.ctypes.data % 64 == 0
+        assert not np.shares_memory(kept, mat)
+        for _ in range(3):
+            x = gen.standard_normal(shape[1])
+            assert np.array_equal(op(x), reference(x))  # the reference reads the misaligned array
+    assert mat.ctypes.data == address and np.array_equal(mat, values)
+
+
+@pytest.mark.parametrize("shape", [(256, 512), (50, 50)])
+def test_aligned_matrix_is_kept_as_given(shape):
+    gen = np.random.default_rng(0)
+    mat = at_byte_offset(gen.standard_normal(shape), 0)
+    assert aligned_matrix(mat) is mat
+    for op, _ in _matrix_operators(gen, mat):
+        assert forward_matrix(op) is mat
+
+
+def test_aligned_matrix_copies_what_is_not_c_contiguous_float64():
+    mat = at_byte_offset(np.arange(12.0).reshape(3, 4), 0)
+    for given in (mat.T, mat[:, ::2], mat.astype(np.float32), mat.tolist()):
+        kept = aligned_matrix(given)
+        assert kept.flags.c_contiguous and kept.dtype == np.float64 and kept.ctypes.data % 64 == 0
+        assert np.array_equal(kept, np.asarray(given, dtype=np.float64))
 
 
 # --- pointwise positive part -----------------------------------------------

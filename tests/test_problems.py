@@ -14,6 +14,7 @@ from tsengsplit import (
     preset,
     solve,
 )
+from test_operators import forward_matrix
 
 
 # --- sparse recovery ---------------------------------------------------------
@@ -51,6 +52,22 @@ def test_lasso_forward_is_the_least_squares_gradient():
         x = g.standard_normal(40)
         expected = inst.a_mat.T @ (inst.a_mat @ x - inst.y)
         assert np.allclose(prob.forward(x), expected)
+
+
+def test_lasso_draws_a_from_the_stream_as_a_plain_draw_would():
+    for seed, sizes in ((21, dict(k=20, m_rows=256, n_cols=512)), (22, dict(k=3, m_rows=20, n_cols=40, reg=0.5))):
+        inst, prob = gen_lasso(RngStream(seed), **sizes)
+        assert forward_matrix(prob.forward) is inst.a_mat  # drawn in place, never copied
+        gen = RngStream(seed).generator()
+        a_mat = gen.standard_normal((sizes["m_rows"], sizes["n_cols"]))
+        support = gen.choice(sizes["n_cols"], size=sizes["k"], replace=False)
+        x_true = np.zeros(sizes["n_cols"])
+        x_true[support] = gen.uniform(-1.0, 1.0, size=sizes["k"])
+        y = a_mat @ x_true + gen.normal(0.0, np.sqrt(1e-4), size=sizes["m_rows"])
+        assert np.array_equal(inst.a_mat, a_mat)
+        assert np.array_equal(inst.x_true, x_true)
+        assert np.array_equal(inst.y, y)
+        assert inst.reg == sizes.get("reg", float(0.01 * np.abs(a_mat.T @ y).max()))
 
 
 # --- affine variational inequality ----------------------------------------------
@@ -155,6 +172,22 @@ def test_oracle_strong_solver_and_certificate():
     from tsengsplit import certify_linear_rate
 
     assert certify_linear_rate(trace).passed
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_lasso(RngStream(23))[1],
+        lambda: gen_affine_vi(RngStream(24), m=50)[1],
+        lambda: gen_affine_vi(RngStream(25), m=7, q=np.ones(7), identity=True)[1],
+        lambda: gen_oracle_strong(RngStream(26), m=10),
+        lambda: oracle_orthant_vi(np.array([-2.0, 0.5, 1.0])),
+    ],
+    ids=["lasso", "affine_vi", "affine_vi_identity", "oracle_strong", "oracle_orthant"],
+)
+def test_forward_matrix_is_stored_on_a_cache_line(build):
+    mat = forward_matrix(build().forward)
+    assert mat.flags.c_contiguous and mat.ctypes.data % 64 == 0
 
 
 def test_every_oracle_passes_registration():

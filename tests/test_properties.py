@@ -1,16 +1,19 @@
 """Property tests: the trace record round-trips through its files, which
-spell each float as its own ``repr`` does, no config and no edit of a
-trace's bytes makes the CLI leave its documented exit codes, every
-schedule that constructs runs with its step inside the interval of the
-paper's step-size lemma, and the exact weak-regime clauses agree with
-dense evaluation of the sequences, as the sampled clause (iv) does on
-the indices it samples."""
+spell each float as its own ``repr`` does, no config and no edit of the
+bytes of a shipped config or of a trace makes the CLI leave its
+documented exit codes, every schedule that constructs runs with its step
+inside the interval of the paper's step-size lemma, every schedule set
+that passes the weak-regime validator keeps the descent inequality and
+does not diverge, and the exact weak-regime clauses agree with dense
+evaluation of the sequences, as the sampled clause (iv) does on the
+indices it samples."""
 
 import contextlib
 import functools
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -291,6 +294,52 @@ def test_fuzzed_trace_keeps_the_certify_exit_code_contract(kinds, certificate, d
         json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"certify printed {name}"))
 
 
+# --- fuzzed config text --------------------------------------------------------
+
+# a JSON number token; the shipped configs hold no digits inside strings
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+CONFIG_EDITS = ["truncate", "bom", "non_utf8", "non_finite", "long_number", "nesting"]
+
+
+def mutate_config(text: bytes, kind: str, draw) -> bytes:
+    """``text`` with one edit of the kind named; the last three rewrite one number."""
+    if kind in ("truncate", "bom", "non_utf8"):
+        return mutate(text, kind, draw)
+    numbers = list(NUMBER.finditer(text))
+    if not numbers:
+        return text
+    at = numbers[draw(st.integers(0, len(numbers) - 1))]
+    if kind == "non_finite":
+        new = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity"]))
+    elif kind == "long_number":  # past int's 4,300-digit limit; as a float, it overflows
+        new = draw(st.sampled_from([b"7" * 5000, b"7" * 5000 + b".5", b"0." + b"7" * 5000]))
+    else:  # nesting, down to past the parser's recursion limit
+        depth = draw(st.sampled_from([1, 2, 100, 5000]))
+        new = b"[" * depth + at.group() + b"]" * depth
+    return text[: at.start()] + new + text[at.end() :]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    config=st.sampled_from(sorted(CONFIGS.glob("*.json"))),
+    kinds=st.lists(st.sampled_from(CONFIG_EDITS), max_size=3),
+    data=st.data(),
+)
+def test_fuzzed_config_text_keeps_the_exit_code_contract(config, kinds, data):
+    # a shipped config, edited byte by byte up to three times (or not at all)
+    text = config.read_bytes()
+    run = "sweep" if "sweep" in json.loads(text) else "solve"
+    for kind in kinds:
+        text = mutate_config(text, kind, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / config.name
+        path.write_bytes(text)
+        for argv in (["validate"], [run, "--out", str(Path(tmp) / "out"), "--max-iters", "50", "--quiet"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--config", str(path)])  # a traceback fails the test
+            assert code in (0, 1, 2, 3)
+
+
 # --- the step-size interval ------------------------------------------------------
 
 SCALARS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e-300, 1e300, -1e300])
@@ -342,6 +391,53 @@ def test_step_stays_in_the_lemma_interval(sched, seed, m, rho):
     grown = np.cumsum([sched.lambda1] + [sched.p_seq.at(k) for k in range(1, len(lams))])
     assert (lams >= lower * (1.0 - 1e-12)).all()
     assert (lams <= grown * (1.0 + 1e-12)).all()
+
+
+# --- the weak regime's guarantee ---------------------------------------------------
+
+
+@st.composite
+def rising(draw, low: float, limit: float):
+    """A family member nondecreasing from no less than ``low`` to ``limit``."""
+    if limit <= low or draw(st.booleans()):
+        return constant(limit)
+    c = draw(st.sampled_from([0.0, 9.0, 999.0]))
+    return rational(limit, -(limit - draw(st.floats(low, limit))) * (c + 1.0), c)
+
+
+@st.composite
+def weak_regime_sets(draw):
+    """Schedule sets drawn around the C3 clauses, some outside each: about one in three passes."""
+    relaxed = draw(st.booleans())
+    epsilon = draw(st.floats(0.0, 4.0) if relaxed else st.floats(0.5, 4.0))
+    beta_cap = beta_bound(epsilon) if epsilon > 1.0 else 0.1  # epsilon <= 1 fails (ii) whatever beta is
+    beta = constant(0.0) if relaxed else draw(rising(0.0, draw(st.floats(0.0, 1.2)) * beta_cap))
+    alpha_limit = draw(st.floats(beta.limit(), 1.5) | st.floats(2.0, 50.0))
+    alpha = draw(st.just(one_minus_pow10()) | rising(beta.at(1), alpha_limit))
+    theta_limit = draw(st.floats(0.05, 1.2)) / (1.0 + epsilon)
+    theta = draw(rising(0.1 * theta_limit, theta_limit))
+    return ScheduleSet(
+        alpha=alpha,
+        beta=beta,
+        theta=theta,
+        mu_seq=draw(st.sampled_from([constant(0.0), inverse_square(), rational(0.0, 0.5, 9.0), constant(0.05)])),
+        p_seq=draw(st.sampled_from([constant(0.0), inverse_square(), constant(1e-3)])),
+        mu=draw(st.floats(0.05, 0.95)),
+        lambda1=draw(st.floats(1e-3, 2.0)),
+        epsilon=epsilon,
+        theta_floor=draw(st.floats(0.01, 0.99)) * theta.at(1),
+    )
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(sched=weak_regime_sets(), seed=st.integers(0, 2**32), m=st.integers(1, 8), rho=st.floats(0.1, 10.0))
+def test_weak_regime_sets_descend_and_do_not_diverge(sched, seed, m, rho):
+    # the paper's weak-convergence theorem: a set passing C3 keeps the descent inequality and
+    # converges; one with alpha_n far above 1 diverges, so a validator that admitted it fails here
+    assume(validate_c3(sched).passed)
+    cfg = SolverConfig(schedules=sched, max_iters=3000, tol=1e-8, assert_descent=True)
+    _, trace = solve(gen_oracle_strong(RngStream(seed), m=m, rho=rho), cfg)  # a violation or divergence raises
+    assert trace.status in ("tolerance_met", "exact_solution", "max_iters")
 
 
 # --- the exact weak-regime clauses ------------------------------------------------
