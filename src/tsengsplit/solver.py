@@ -500,11 +500,16 @@ def trace_to_csv(trace: SolverTrace) -> str:
         f"{row[0]},{lam},{residual},{e_n},{'' if dist is None else dist},0.0"
         for row, (lam, residual, e_n, dist) in zip(trace.rows, _float_texts(trace))
     ]
-    lines.append(
+    lines.append(_footer(trace))
+    return "\n".join(lines) + "\n"
+
+
+def _footer(trace: SolverTrace) -> str:
+    """The trace CSV's last line: the terminal status and the counters."""
+    return (
         f"# status={trace.status} forward_evals={trace.forward_evals} "
         f"resolvent_evals={trace.resolvent_evals} tie_breaks={trace.tie_breaks}"
     )
-    return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace: SolverTrace, path) -> None:
@@ -516,53 +521,62 @@ def read_trace_csv(path) -> SolverTrace:
     """Parse a trace CSV that :func:`write_trace_csv` wrote for a trace
     :func:`solve` returned; only ``dist`` may be empty.
 
-    Raises ``ValueError`` on anything such a trace cannot hold: rows not
+    Raises ``ValueError`` on anything such a trace cannot hold: a line not
+    ended by one ``\\n``, or a blank one; whitespace in a row; rows not
     numbered ``1..T``; a negative or non-finite ``residual``, ``E_n`` or
-    ``dist``; a ``lambda`` that is not positive and finite; a status other
-    than a finished run's; or footer counters that do not match the rows
-    (``T`` resolvent evaluations, ``2T`` forward evaluations and at most
-    ``T`` tie breaks, one fewer of each of the last two after an exact
-    stop); or a footer that is not the one last line, or that names a key
-    twice.
+    ``dist``, or a ``dist`` on some rows only; a ``lambda`` that is not
+    positive and finite; an ``elapsed_ms`` other than ``0.0``; a footer
+    that is not the one last line, or that differs from the footer
+    :func:`trace_to_csv` renders from the status and counters it names; a
+    status other than a finished run's; or footer counters that do not
+    match the rows (``T`` resolvent evaluations, ``2T`` forward evaluations
+    and at most ``T`` tie breaks, one fewer of each of the last two after
+    an exact stop).  A float spelled otherwise than ``repr`` spells it
+    (``1e-1`` for ``0.1``) reads as its value.
     """
     trace = SolverTrace()
     rows, inf = trace.rows, math.inf
     footer = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(TRACE_COLUMNS):
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if footer is not None:
-                raise ValueError(f"trace continues after its footer: {line!r}")
-            if line.startswith("#"):
-                footer = [part.partition("=") for part in line[1:].split()]
-                keys = [key for key, _, _ in footer]
-                if len(set(keys)) != len(keys):
-                    raise ValueError(f"trace footer repeats a key: {line!r}")
-                for key, _, val in footer:
-                    if key == "status":
-                        trace.status = val
-                    elif key in ("forward_evals", "resolvent_evals", "tie_breaks"):
-                        setattr(trace, key, int(val))
-                continue
-            cols = line.split(",")
-            if len(cols) != len(TRACE_COLUMNS):
-                raise ValueError(f"malformed trace row: {line!r}")
-            n, lam, residual, e_n, dist, elapsed_ms = cols
-            n, lam, residual, e_n = int(n), float(lam), float(residual), float(e_n)
-            dist = None if dist == "" else float(dist)
-            if n != len(rows) + 1:
-                raise ValueError(f"trace row {len(rows) + 1} is numbered {n}")
-            # each comparison is false for NaN
-            if not 0.0 < lam < inf:
-                raise ValueError(f"lambda {lam!r} at n = {n} is not positive and finite")
-            if not (0.0 <= residual < inf and 0.0 <= e_n < inf and (dist is None or 0.0 <= dist < inf)):
-                raise ValueError(f"negative or non-finite residual, E_n or dist at n = {n}")
-            rows.append((n, lam, residual, e_n, dist, float(elapsed_ms)))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *lines = fh.read().split("\n")
+    if header != ",".join(TRACE_COLUMNS):
+        raise ValueError(f"unexpected trace header: {header!r}")
+    if lines[-1:] != [""]:
+        raise ValueError("trace does not end with a newline")
+    for n, line in enumerate(lines[:-1], start=1):
+        if footer is not None:
+            raise ValueError(f"trace continues after its footer: {line!r}")
+        if line.startswith("#"):
+            footer = line
+            continue
+        cols = line.split(",")
+        # float() would read a field with whitespace around it
+        if len(cols) != len(TRACE_COLUMNS) or line.split() != [line]:
+            raise ValueError(f"malformed trace row: {line!r}")
+        numbered, lam, residual, e_n, dist, elapsed_ms = cols
+        if numbered != str(n):
+            raise ValueError(f"trace row {n} is numbered {numbered}")
+        lam, residual, e_n = float(lam), float(residual), float(e_n)
+        dist = None if dist == "" else float(dist)
+        # each comparison is false for NaN
+        if not 0.0 < lam < inf:
+            raise ValueError(f"lambda {lam!r} at n = {n} is not positive and finite")
+        if not (0.0 <= residual < inf and 0.0 <= e_n < inf and (dist is None or 0.0 <= dist < inf)):
+            raise ValueError(f"negative or non-finite residual, E_n or dist at n = {n}")
+        if elapsed_ms != "0.0":  # the measured times go to trace.jsonl
+            raise ValueError(f"elapsed_ms {elapsed_ms!r} at n = {n} is not 0.0")
+        rows.append((n, lam, residual, e_n, dist, 0.0))
+    if footer is None:
+        raise ValueError("trace has no footer")
+    if len({row[4] is None for row in rows}) > 1:  # a run records dist on every row or on none
+        raise ValueError("trace records dist on some rows only")
+    fields = dict(part.partition("=")[::2] for part in footer[1:].split())
+    trace.status = fields.get("status")
+    trace.forward_evals, trace.resolvent_evals, trace.tie_breaks = (
+        int(fields.get(key, -1)) for key in ("forward_evals", "resolvent_evals", "tie_breaks")
+    )
+    if footer != _footer(trace):  # a key missing, repeated, added or respelled
+        raise ValueError(f"trace footer {footer!r} is not one solve writes")
     t = len(rows)
     if trace.status not in (STATUS_EXACT, STATUS_TOL, STATUS_BUDGET):  # a diverged run writes no trace CSV
         raise ValueError(f"trace status {trace.status!r} is not a finished run's")

@@ -11,6 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contract_cases import (
+    BAD_FLAGS,
+    BASES,
+    CASES,
+    CONFIGS,
+    EXITS,
+    MALFORMED,
+    MISSPELLED,
+    NESTED,
+    NON_FINITE_PARAMS,
+    ORTHANT,
+    UNUSABLE_SCHEDULES,
+    edited,
+    materialize,
+)
 from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent, rational
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
@@ -30,24 +45,12 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-@pytest.fixture
-def affine_config(tmp_path):
-    return write_config(
-        tmp_path,
-        "affine.json",
-        {
-            "version": 1,
-            "seed": 7,
-            "problem": {"family": "affine_vi", "params": {"m": 50, "q": "zero"}},
-            "schedules": {"preset": "paper_default", "mu_seq": {"kind": "constant", "value": 0.0}},
-            "solver": {"max_iters": 60000, "tol": 1e-3, "stop_rule": "iterate_norm", "record_distance": True},
-        },
-    )
+AFFINE = str(CONFIGS / "affine_vi_m50.json")
 
 
-def test_solve_writes_artifacts_and_converges(affine_config, tmp_path):
+def test_solve_writes_artifacts_and_converges(tmp_path):
     out = tmp_path / "run"
-    assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"]) == 0
     trace = read_trace_csv(out / "trace.csv")
     assert trace.status == "tolerance_met"
     assert trace.row(-1)["E_n"] <= 1e-3
@@ -60,60 +63,24 @@ def test_solve_writes_artifacts_and_converges(affine_config, tmp_path):
     assert (out / "trace.jsonl").exists()
 
 
-def test_solve_replay_is_byte_identical(affine_config, tmp_path):
+def test_solve_replay_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--config", affine_config, "--out", str(out1), "--quiet"]) == 0
-    assert main(["solve", "--config", affine_config, "--out", str(out2), "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--out", str(out1), "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
-def test_solve_budget_exhausted_exit(affine_config, tmp_path):
-    code = main([
-        "solve", "--config", affine_config, "--out", str(tmp_path / "x"),
-        "--max-iters", "1", "--quiet",
-    ])
-    assert code == 1
-
-
-def test_solve_malformed_config(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-
-
-def test_solve_unknown_family(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"problem": {"family": "qp"}, "seed": 1})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
-
-def test_seed_override_changes_instance(affine_config, tmp_path):
+def test_seed_override_changes_instance(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    main(["solve", "--config", affine_config, "--out", str(out1), "--quiet"])
-    main(["solve", "--config", affine_config, "--out", str(out2), "--seed", "99", "--quiet"])
+    main(["solve", "--config", AFFINE, "--out", str(out1), "--quiet"])
+    main(["solve", "--config", AFFINE, "--out", str(out2), "--seed", "99", "--quiet"])
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
 
 @pytest.fixture
 def sweep_config(tmp_path):
-    return write_config(
-        tmp_path,
-        "sweep.json",
-        {
-            "version": 1,
-            "seed": 7,
-            "problem": {"family": "affine_vi", "params": {"m": 50, "q": "zero"}},
-            "schedules": {
-                "mu": 0.9, "lambda1": 0.1, "epsilon": 1.2, "theta_floor": 0.01,
-                "alpha": {"kind": "constant", "value": 1.0},
-                "beta": {"kind": "constant", "value": 0.1},
-                "theta": {"kind": "constant", "value": 0.45},
-                "mu_seq": {"kind": "constant", "value": 0.0},
-                "p_seq": {"kind": "inverse_square"},
-            },
-            "solver": {"max_iters": 60000, "tol": 1e-3, "stop_rule": "iterate_norm"},
-            "sweep": {"axes": [{"param": "theta", "values": [0.15, 0.3, 0.45]}]},
-        },
-    )
+    sweep = {"axes": [{"param": "theta", "values": [0.15, 0.3, 0.45]}]}
+    return write_config(tmp_path, "sweep.json", edited(BASES["affine_relaxation_sweep"], {"sweep": sweep}))
 
 
 def test_sweep_summary_and_trends(sweep_config, tmp_path):
@@ -130,7 +97,7 @@ def test_sweep_summary_and_trends(sweep_config, tmp_path):
     assert trends["theta"]["nonincreasing"] is True
 
 
-def test_single_point_sweep_matches_solve(sweep_config, affine_config, tmp_path):
+def test_single_point_sweep_matches_solve(sweep_config, tmp_path):
     cfg = json.loads(open(sweep_config).read())
     cfg["sweep"] = {"axes": [{"param": "theta", "values": [0.45]}]}
     single = write_config(tmp_path, "single.json", cfg)
@@ -148,61 +115,24 @@ def test_single_point_sweep_matches_solve(sweep_config, affine_config, tmp_path)
     assert float(row[4]) == trace.row(-1)["E_n"]
 
 
-def test_validate_pass_and_fail(tmp_path, affine_config):
-    assert main(["validate", "--config", affine_config]) == 0
-    bad = write_config(
-        tmp_path,
-        "bad_sched.json",
-        {
-            "seed": 1,
-            "problem": {"family": "oracle_orthant", "params": {"q": [-1.0, 1.0]}},
-            "schedules": {
-                "mu": 0.9, "lambda1": 0.1, "epsilon": 1.5, "theta_floor": 0.01,
-                "alpha": {"kind": "constant", "value": 0.5},
-                "beta": {"kind": "constant", "value": 0.0},
-                "theta": {"kind": "rational", "a": 0.0, "b": 1.0, "c": 0.0},
-                "mu_seq": {"kind": "constant", "value": 0.0},
-                "p_seq": {"kind": "constant", "value": 0.0},
-            },
-        },
-    )
-    assert main(["validate", "--config", bad]) == 1
-
-
-def test_validate_prints_strong_report_for_strong_problem(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "strong.json",
-        {
-            "seed": 3,
-            "problem": {"family": "oracle_strong", "params": {"m": 10, "rho": 1.0}},
-            "schedules": {
-                "mu": 0.4, "lambda1": 0.3, "epsilon": 0.0, "theta_floor": 0.3,
-                "alpha": {"kind": "constant", "value": 0.35},
-                "beta": {"kind": "constant", "value": 0.0},
-                "theta": {"kind": "constant", "value": 0.75},
-                "mu_seq": {"kind": "constant", "value": 0.0},
-                "p_seq": {"kind": "constant", "value": 0.0},
-            },
-        },
-    )
-    main(["validate", "--config", cfg])
+def test_validate_prints_strong_report_for_strong_problem(capsys):
+    main(["validate", "--config", str(CONFIGS / "oracle_strong_linear.json")])
     payload = json.loads(capsys.readouterr().out)
     assert "strong" in payload
     assert "theta_interval" in payload["strong"]
 
 
-def test_certify_roundtrip(tmp_path, affine_config):
+def test_certify_roundtrip(tmp_path):
     out = tmp_path / "run"
-    main(["solve", "--config", affine_config, "--out", str(out), "--quiet"])
+    main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"])
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "sqrt"]) == 0
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear"]) == 0
     assert main(["certify", "--trace", str(tmp_path / "missing.csv"), "--kind", "sqrt"]) == 2
 
 
-def test_certify_refuses_a_trace_solve_cannot_write(tmp_path, affine_config, capsys):
+def test_certify_refuses_a_trace_solve_cannot_write(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:-1]]
     for row in rows:
@@ -226,9 +156,9 @@ def test_certify_with_no_finite_json_report_exits_2(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("certificate not applicable: Out of range float")
 
 
-def test_certify_rejects_short_trace(tmp_path, affine_config):
+def test_certify_rejects_short_trace(tmp_path):
     out = tmp_path / "short"
-    main(["solve", "--config", affine_config, "--out", str(out), "--max-iters", "20", "--quiet"])
+    main(["solve", "--config", AFFINE, "--out", str(out), "--max-iters", "20", "--quiet"])
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "sqrt"]) == 2
 
 
@@ -264,33 +194,16 @@ def test_two_axis_sweep_grid(tmp_path):
     assert trends["alpha"]["comparisons"] == 2
 
 
-def test_out_dir_env_default(affine_config, tmp_path, monkeypatch):
+def test_out_dir_env_default(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("TSENGSPLIT_OUT", str(target))
-    assert main(["solve", "--config", affine_config, "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--quiet"]) == 0
     assert (target / "trace.csv").exists()
 
 
 def test_certify_q_bound_flag(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "strong_run.json",
-        {
-            "seed": 3,
-            "problem": {"family": "oracle_strong", "params": {"m": 10, "rho": 1.0}},
-            "schedules": {
-                "mu": 0.4, "lambda1": 0.3, "epsilon": 0.0, "theta_floor": 0.3,
-                "alpha": {"kind": "constant", "value": 0.35},
-                "beta": {"kind": "constant", "value": 0.0},
-                "theta": {"kind": "constant", "value": 0.75},
-                "mu_seq": {"kind": "constant", "value": 0.0},
-                "p_seq": {"kind": "constant", "value": 0.0},
-            },
-            "solver": {"max_iters": 5000, "tol": 1e-11, "stop_rule": "step_diff", "record_distance": True},
-        },
-    )
     out = tmp_path / "strong_out"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert main(["solve", "--config", str(CONFIGS / "oracle_strong_linear.json"), "--out", str(out), "--quiet"]) == 0
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear", "--q-bound", "0.99"]) == 0
 
 
@@ -299,9 +212,9 @@ def no_certificate(*args, **kwargs):
 
 
 @pytest.mark.parametrize("q_bound", ["nan", "inf", "-inf", "1e400"])
-def test_certify_refuses_a_q_bound_that_is_not_finite(q_bound, tmp_path, affine_config, monkeypatch, capsys):
+def test_certify_refuses_a_q_bound_that_is_not_finite(q_bound, tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
-    assert main(["solve", "--config", affine_config, "--out", str(out), "--quiet"]) == 0
+    assert main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"]) == 0
     monkeypatch.setattr(cli, "certify_linear_rate", no_certificate)
     capsys.readouterr()
     assert main(["certify", "--trace", str(out / "trace.csv"), "--kind", "linear", f"--q-bound={q_bound}"]) == 2
@@ -342,9 +255,9 @@ def test_one_parser_reads_every_call_of_a_process_as_a_fresh_one_would(monkeypat
     assert parsed == [] and len(builds) == 1
 
 
-def test_trace_jsonl_is_valid(affine_config, tmp_path):
+def test_trace_jsonl_is_valid(tmp_path):
     out = tmp_path / "r"
-    main(["solve", "--config", affine_config, "--out", str(out), "--quiet"])
+    main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"])
     lines = (out / "trace.jsonl").read_text().strip().splitlines()
     records = [json.loads(ln) for ln in lines]
     assert all("n" in r for r in records[:-1])
@@ -353,19 +266,8 @@ def test_trace_jsonl_is_valid(affine_config, tmp_path):
 
 
 def test_lasso_config_runs(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "lasso.json",
-        {
-            "seed": 42,
-            "problem": {
-                "family": "lasso",
-                "params": {"k": 5, "m_rows": 32, "n_cols": 64, "noise_var": 1e-4},
-            },
-            "schedules": {"preset": "paper_default"},
-            "solver": {"max_iters": 5000, "tol": 1e-5, "stop_rule": "step_diff"},
-        },
-    )
+    small = {"problem": {"params": {"k": 5, "m_rows": 32, "n_cols": 64, "noise_var": 1e-4}}}
+    cfg = write_config(tmp_path, "lasso.json", edited(BASES["lasso_recovery"], small))
     out = tmp_path / "lasso_out"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     trace = read_trace_csv(out / "trace.csv")
@@ -374,17 +276,8 @@ def test_lasso_config_runs(tmp_path):
 
 def test_summary_norms_match_weighted_trace(tmp_path):
     # l2_vi runs in the quadrature-weighted norm; the summary must use it too
-    cfg = write_config(
-        tmp_path,
-        "l2.json",
-        {
-            "seed": 0,
-            "problem": {"family": "l2_vi", "params": {"m": 60, "case": 1}},
-            "schedules": {"preset": "paper_default", "mu": 0.4, "lambda1": 1.0,
-                          "mu_seq": {"kind": "constant", "value": 0.0}},
-            "solver": {"max_iters": 1000, "tol": 1e-4, "stop_rule": "iterate_norm", "record_distance": True},
-        },
-    )
+    small = {"problem": {"params": {"m": 60, "case": 1}}, "solver": {"stop_rule": "iterate_norm"}}
+    cfg = write_config(tmp_path, "l2.json", edited(BASES["l2_vi_case1"], small))
     out = tmp_path / "l2_out"
     main(["solve", "--config", cfg, "--out", str(out), "--quiet"])
     last = read_trace_csv(out / "trace.csv").row(-1)
@@ -393,23 +286,8 @@ def test_summary_norms_match_weighted_trace(tmp_path):
     assert summary["solution_norm"] == last["E_n"]
 
 
-ORTHANT = {
-    "version": 1,
-    "seed": 1,
-    "problem": {"family": "oracle_orthant", "params": {"q": [-1.0, 1.0]}},
-    "schedules": {"preset": "paper_default"},
-    "solver": {"max_iters": 200, "tol": 1e-8},
-}
-
-
 def orthant_config(tmp_path, **overrides):
-    cfg = json.loads(json.dumps(ORTHANT))
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
-    return write_config(tmp_path, "orthant.json", cfg)
+    return write_config(tmp_path, "orthant.json", edited(ORTHANT, overrides))
 
 
 def test_tie_breaks_on_a_constant_forward_map_warn_in_the_summary(tmp_path, monkeypatch):
@@ -432,120 +310,63 @@ def test_tie_breaks_on_a_constant_forward_map_warn_in_the_summary(tmp_path, monk
     assert summary["tie_break_warning"].startswith("degenerate step-update branch")
 
 
-class Again(str):
-    """A config key that ``json.dumps`` writes a second time: a dict holds it
-    next to the same key, because it compares and hashes by identity."""
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
-MALFORMED = {
-    "version_not_int": ("solve", {"version": "x"}),
-    "seed_not_int": ("solve", {"seed": "x"}),
-    "max_iters_null": ("solve", {"solver": {"max_iters": None}}),
-    "preset_mu_null": ("solve", {"schedules": {"mu": None}}),
-    "preset_alpha_string": ("solve", {"schedules": {"alpha": "x"}}),
-    "affine_m_null": ("solve", {"problem": {"family": "affine_vi", "params": {"m": None}}}),
-    "params_string": ("solve", {"problem": {"family": "affine_vi", "params": "abc"}}),
-    "sweep_value_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["abc"]}]}}),
-    "sweep_axis_number": ("sweep", {"sweep": {"axes": [3]}}),
-    "sweep_mu_out_of_range": ("sweep", {"sweep": {"axes": [{"param": "mu", "values": [0.5, 1.5]}]}}),
-    # would run theta = 0.6 twice and never 0.5 or 0.75
-    "sweep_axis_repeated": ("sweep", {"sweep": {"axes": [
-        {"param": "theta", "values": [0.5, 0.75]}, {"param": "theta", "values": [0.6]},
-    ]}}),
-    # flags are true/false only: bool() would read "false" as true
-    "assert_descent_string": ("solve", {"solver": {"assert_descent": "false"}}),
-    "record_distance_string": ("solve", {"solver": {"record_distance": "no"}}),
-    "identity_number": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 2, "identity": 1}}}),
-    # integers may be written 20.0, but int() would truncate 10.9 and read true as 1
-    "seed_fractional": ("solve", {"seed": 3.7}),
-    "version_bool": ("solve", {"version": True}),
-    "max_iters_fractional": ("solve", {"solver": {"max_iters": 200.5}}),
-    "strong_m_fractional": ("solve", {"problem": {"family": "oracle_strong", "params": {"m": 10.9}}}),
-    # the seed is top-level only, and a sequence is always an object
-    "problem_seed": ("solve", {"problem": {"seed": 3}}),
-    "alpha_bare_number": ("solve", {"schedules": {"alpha": 0.5}}),
-    "alpha_bool": ("solve", {"schedules": {"alpha": True}}),
-    # floats are JSON numbers: float() would read "0.4" as 0.4 and true as 1.0
-    "mu_string": ("solve", {"schedules": {"mu": "0.4"}}),
-    "tol_bool": ("solve", {"solver": {"tol": True}}),
-    "sequence_value_bool": ("solve", {"schedules": {"alpha": {"kind": "constant", "value": True}}}),
-    "sweep_value_numeric_string": ("sweep", {"sweep": {"axes": [{"param": "theta", "values": ["0.5"]}]}}),
-    "q_string": ("solve", {"problem": {"family": "oracle_orthant", "params": {"q": ["-1", 1.0]}}}),
-    "q_bool": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 2, "q": [-1.0, True]}}}),
-    "q_zero_orthant": ("solve", {"problem": {"family": "oracle_orthant", "params": {"q": "zero"}}}),
-    # a 284 PiB matrix: numpy refuses it before touching any memory
-    "affine_m_unallocatable": ("solve", {"problem": {"family": "affine_vi", "params": {"m": 200_000_000}}}),
-    "label_number": ("solve", {"schedules": {"label": 5}}),
-    # without a preset, theta has no default: theta_n = 0 would never apply the forward-backward step
-    "schedules_without_theta": ("solve", {"schedules": {"preset": None, "mu": 0.9, "lambda1": 0.1}}),
-    # json.loads would keep the last of the two values, so a setting would have two spellings
-    "seed_twice": ("solve", {Again("seed"): 4}),
-    "max_iters_twice": ("solve", {"solver": {Again("max_iters"): 5}}),
-    "sequence_value_twice": ("solve", {"schedules": {"alpha": {"kind": "constant", "value": 0.1, Again("value"): 0}}}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
-    command, overrides = MALFORMED[case]
-    cfg = orthant_config(tmp_path, **overrides)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+def check_case(case, tmp_path, capsys):
+    """Run contract case ``case`` through ``main`` (an uncaught exception fails
+    the test) and check its exit code; an exit-2 case prints one config error
+    line, or argparse's usage, holding its fragment and writes no output."""
+    *_, code, fragment = CASES[case]
+    argv = materialize(case, tmp_path)
+    try:
+        got = main(argv)
+    except SystemExit as usage:  # argparse refuses the command line
+        got = usage.code
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert MALFORMED_MESSAGES.get(case, "") in err
+    assert got == code, err
+    if code == 2:
+        assert fragment in err, err
+        assert err.startswith("usage: tsengsplit") or (err.startswith("config error:") and err.count("\n") == 1), err
+        assert not any((tmp_path / case).rglob("*")), "an output was written"
 
 
-# the stderr text of cases that must name their cause
-MALFORMED_MESSAGES = {
-    "q_zero_orthant": """'q' must be a list of numbers (or "zero" for affine_vi), got 'zero'""",
-    "seed_twice": "duplicate key 'seed': each setting is given once",
-    "max_iters_twice": "duplicate key 'max_iters'",
-    "sequence_value_twice": "duplicate key 'value'",
-}
+def contract_test(cases, ids=None):
+    """A test of each of ``cases`` by :func:`check_case`."""
+
+    @pytest.mark.parametrize("case", cases, ids=ids)
+    def test(case, tmp_path, capsys):
+        check_case(case, tmp_path, capsys)
+
+    return test
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "validate"])
-def test_deeply_nested_config_exits_2(command, tmp_path, capsys):
-    # json.loads recurses once per level: 1,000 levels exceed the recursion limit
-    path = tmp_path / "deep.json"
-    path.write_text('{"version": 1, "problem": ' + "[" * 1000 + "]" * 1000 + "}", encoding="utf-8")
-    out = ["--out", str(tmp_path / "o"), "--quiet"] if command != "validate" else []
-    assert main([command, "--config", str(path), *out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config is nested too deeply") and err.count("\n") == 1
+def each_case(*cases):
+    """One test of all of ``cases`` by :func:`check_case`."""
+
+    def test(tmp_path, capsys):
+        for case in cases:
+            check_case(case, tmp_path, capsys)
+
+    return test
 
 
-STRONG = json.loads((Path(__file__).resolve().parent.parent / "configs" / "oracle_strong_linear.json").read_text())
-
-MISSPELLED = {
-    "sequence_valu": ("schedules", "alpha", {"kind": "constant", "valu": 0.9}),
-    "solver_max_iter": ("solver", "max_iter", 3),
-    "schedules_lamda1": ("schedules", "lamda1", 5),
-    "params_rh0": ("problem", "params", {"m": 10, "rho": 1.0, "rh0": 5}),
-    "top_level_sweeep": (None, "sweeep", {"axes": []}),
-}
-
-
-@pytest.mark.parametrize("command", ["validate", "solve"])
-@pytest.mark.parametrize("case", sorted(MISSPELLED))
-def test_unknown_config_key_exits_2(case, command, tmp_path, capsys):
-    section, key, value = MISSPELLED[case]
-    cfg = json.loads(json.dumps(STRONG))
-    (cfg if section is None else cfg[section])[key] = value
-    out = ["--out", str(tmp_path / "o"), "--quiet"] if command == "solve" else []
-    assert main([command, "--config", write_config(tmp_path, "typo.json", cfg), *out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "unknown key" in err
-    assert not (tmp_path / "o" / "trace.csv").exists()
+# each section runs under a test name of its own, which keeps the ids of its cases stable
+test_malformed_config_exits_2_without_traceback = contract_test(sorted(MALFORMED))
+test_unknown_config_key_exits_2 = contract_test(sorted(MISSPELLED))
+test_unusable_schedule_exits_2_before_any_output = contract_test(sorted(UNUSABLE_SCHEDULES))
+test_bad_flag_value_exits_2 = contract_test(list(BAD_FLAGS), ids=[f"flags{i}" for i in range(len(BAD_FLAGS))])
+test_deeply_nested_config_exits_2 = contract_test(list(NESTED), ids=["solve", "sweep", "validate"])
+test_infinite_problem_param_exits_2 = each_case(*NON_FINITE_PARAMS)
+test_solve_malformed_config = each_case("not_json")
+test_solve_unknown_family = each_case("unknown_family")
+test_preset_name_must_be_a_string = each_case("preset_not_string")
+test_solve_budget_exhausted_exit = each_case("budget_exhausted")
+test_validate_pass_and_fail = each_case("validate_passes", "theta_falls")
+test_config_exits_as_documented = contract_test(sorted(EXITS))
 
 
 def test_every_shipped_config_loads():
     from tsengsplit.cli import load_config
 
-    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+    for path in sorted(CONFIGS.glob("*.json")):
         load_config(path)
 
 
@@ -576,33 +397,6 @@ def test_empty_solver_section_takes_every_solver_config_default(tmp_path):
     assert solver == SolverConfig(solver.schedules)
 
 
-def test_infinite_problem_param_exits_2(tmp_path, capsys):
-    small_lasso = {"k": 3, "m_rows": 16, "n_cols": 32}
-    cases = [
-        ("oracle_strong", {"m": 10, "rho": math.inf}),
-        ("lasso", {**small_lasso, "reg": math.inf}),  # would zero every iterate
-        ("lasso", {**small_lasso, "reg_scale": math.inf}),
-        ("lasso", {**small_lasso, "noise_var": math.nan}),  # would run noise-free
-        ("affine_vi", {"m": 4, "q": [math.inf, 0.0, 0.0, 0.0]}),
-    ]
-    for i, (family, params) in enumerate(cases):
-        cfg = json.loads(json.dumps(STRONG))
-        cfg["problem"] = {"family": family, "params": params}
-        path = write_config(tmp_path, "inf.json", cfg)  # written as the JSON token Infinity or NaN
-        assert "Infinity" in Path(path).read_text() or "NaN" in Path(path).read_text()
-        out = tmp_path / f"o{i}"
-        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 2, params
-        assert capsys.readouterr().err.startswith("config error:")
-        assert not (out / "validation.json").exists()
-
-
-def test_preset_name_must_be_a_string(tmp_path, capsys):
-    cfg = orthant_config(tmp_path, schedules={"preset": ["paper_default"]})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "'preset'" in err and err.count("\n") == 1
-
-
 def test_problem_params_are_the_generator_keywords():
     import inspect
 
@@ -630,28 +424,6 @@ def test_affine_identity_without_m_uses_the_default_dimension(tmp_path):
     prob = build_problem(load_config(write_config(tmp_path, "eye.json", cfg)))
     assert prob.dimension == 50
     assert (prob.known_solution == 1.0).all()
-
-
-UNUSABLE_SCHEDULES = {
-    **{
-        f"{key}_{value}": {key: {"kind": "constant", "value": value}}
-        for key in ("alpha", "theta", "mu_seq", "p_seq")
-        for value in (math.inf, math.nan)
-    },
-    "lambda1_inf": {"lambda1": math.inf},
-    "epsilon_inf": {"epsilon": math.inf},
-    "theta_floor_inf": {"theta_floor": math.inf},
-    "mu_seq_turns_negative": {"mu_seq": {"kind": "rational", "a": -0.1, "b": 1.0, "c": 0.0}},
-}
-
-
-@pytest.mark.parametrize("case", sorted(UNUSABLE_SCHEDULES))
-def test_unusable_schedule_exits_2_before_any_output(case, tmp_path, capsys):
-    out = tmp_path / "o"
-    cfg = orthant_config(tmp_path, schedules=UNUSABLE_SCHEDULES[case])
-    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (out / "validation.json").exists()
 
 
 def test_schedules_without_a_preset_take_the_schedule_set_defaults(tmp_path):
@@ -687,30 +459,10 @@ def test_preset_label_kept_only_when_unmodified(tmp_path):
 )
 def test_descent_check_on_huge_legal_schedule_keeps_the_exit_contract(schedules, tmp_path):
     # squaring (mu + mu_n)*lambda_n/lambda_{n+1} with ** once raised OverflowError here
-    cfg = json.loads(json.dumps(STRONG))
-    cfg["schedules"].update(schedules)
+    cfg = edited(BASES["oracle_strong_linear"], {"schedules": schedules})
     cfg["solver"]["assert_descent"] = True
     path = write_config(tmp_path, "descent.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) in (0, 1, 3)
-
-
-@pytest.mark.parametrize(
-    "flags",
-    # validate takes no --horizon: clause (iv) is always sampled up to 10^6
-    [["solve", "--max-iters", "0"], ["solve", "--tol", "0"], ["validate", "--horizon", "5"], ["solve", "--tol", "inf"]],
-)
-def test_bad_flag_value_exits_2(flags, tmp_path, capsys):
-    command, *rest = flags
-    out = ["--out", str(tmp_path / "o")] if command == "solve" else []
-    argv = [command, "--config", orthant_config(tmp_path), *out, *rest]
-    if "--horizon" in rest:  # argparse refuses a flag it does not know
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        code, prefix = exc.value.code, "usage:"
-    else:
-        code, prefix = main(argv), "config error:"
-    assert code == 2
-    assert capsys.readouterr().err.startswith(prefix)
 
 
 DIVERGING = {

@@ -206,7 +206,7 @@ CORRECTED_INF = "non-finite iterate or step size (next lambda 1.8999999999999997
 # runs that leave the finite floats, each with the start of the kernel's message;
 # record_distance=False leaves the residual rule no norm of x_next to fail
 DIVERGING = {
-    # the two DIVERGING schedules of tests/test_cli.py, on its ORTHANT problem
+    # the two DIVERGING schedules of tests/test_cli.py, on the ORTHANT problem of tests/contract_cases.py
     "huge_inertia": (orthant, paper_default(alpha=constant(50.0)), {}, "overflow while iterating"),
     "huge_step": (orthant, paper_default(lambda1=1e200, p_seq=constant(1e300)), {}, "overflow while iterating"),
     # exp(w) overflows past w = 709 while the clipping resolvent keeps y finite:

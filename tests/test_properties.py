@@ -4,9 +4,10 @@ bytes of a shipped config or of a trace makes the CLI leave its
 documented exit codes, every schedule that constructs runs with its step
 inside the interval of the paper's step-size lemma, every schedule set
 that passes the weak-regime validator keeps the descent inequality and
-does not diverge, and the exact weak-regime clauses agree with dense
-evaluation of the sequences, as the sampled clause (iv) does on the
-indices it samples."""
+does not diverge, every set the strong-regime search returns converges
+linearly within its contraction factor, and the exact weak-regime
+clauses agree with dense evaluation of the sequences, as the sampled
+clause (iv) does on the indices it samples."""
 
 import contextlib
 import functools
@@ -31,7 +32,9 @@ from tsengsplit import (
     SolverConfig,
     SolverTrace,
     beta_bound,
+    certify_linear_rate,
     constant,
+    find_feasible_strong,
     gen_oracle_strong,
     inverse_square,
     one_minus_pow10,
@@ -52,8 +55,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NORM = st.floats(min_value=0.0, allow_infinity=False)
 STEP = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # rows a finished solve can record, before they are numbered 1..T: the step,
-# the residual, E_n and dist (when recorded) as norms, and a wall time
-ROWS = st.lists(st.tuples(STEP, NORM, NORM, st.none() | NORM, FINITE), min_size=1, max_size=20)
+# the residual, E_n and dist (on every row or on none) as norms, and a wall time
+ROWS = st.sampled_from([NORM, st.none()]).flatmap(
+    lambda dist: st.lists(st.tuples(STEP, NORM, NORM, dist, FINITE), min_size=1, max_size=20)
+)
 
 
 @SETTINGS
@@ -263,6 +268,11 @@ def mutate(text: bytes, kind: str, draw) -> bytes:
         if footers:
             at = footers[-1]
             lines[at : at + 1] = [lines[at]] * 2 if kind == "footer_twice" else []
+    elif kind == "blank_line":
+        lines.insert(draw(st.integers(0, len(lines))), b"")
+    elif kind == "elapsed_ms":  # a measured time in a row's last column
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = b",".join([*lines[at].split(b",")[:5], draw(st.sampled_from([b"12.5", b"1.0", b"5e-324"]))])
     else:  # non_utf8
         at = draw(st.integers(0, len(text)))
         return text[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])) + text[at:]
@@ -270,6 +280,7 @@ def mutate(text: bytes, kind: str, draw) -> bytes:
 
 
 MUTATIONS = ["truncate", "non_finite", "bom", "crlf", "trailing_spaces", "footer_twice", "footer_missing", "non_utf8"]
+MUTATIONS += ["blank_line", "elapsed_ms"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -279,7 +290,7 @@ MUTATIONS = ["truncate", "non_finite", "bom", "crlf", "trailing_spaces", "footer
     data=st.data(),
 )
 def test_fuzzed_trace_keeps_the_certify_exit_code_contract(kinds, certificate, data):
-    # a trace solve wrote, edited byte by byte up to three times
+    # a trace solve wrote, edited byte by byte up to three times: certify passes it, and refuses any edit of it
     text = solve_written_trace()
     for kind in kinds:
         text = mutate(text, kind, data.draw)
@@ -289,8 +300,8 @@ def test_fuzzed_trace_keeps_the_certify_exit_code_contract(kinds, certificate, d
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["certify", "--trace", str(path), "--kind", certificate])  # a traceback fails the test
-    assert code in (0, 1, 2)
-    if code != 2:
+    assert code == (0 if text == solve_written_trace() else 2)
+    if code == 0:
         json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"certify printed {name}"))
 
 
@@ -438,6 +449,33 @@ def test_weak_regime_sets_descend_and_do_not_diverge(sched, seed, m, rho):
     cfg = SolverConfig(schedules=sched, max_iters=3000, tol=1e-8, assert_descent=True)
     _, trace = solve(gen_oracle_strong(RngStream(seed), m=m, rho=rho), cfg)  # a violation or divergence raises
     assert trace.status in ("tolerance_met", "exact_solution", "max_iters")
+
+
+# --- the strong regime's guarantee -------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 8),
+    rho=st.floats(0.1, 10.0),
+    mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2),
+    lambda1=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=2),
+    alpha_offset=st.floats(0.0, 0.05),
+    beta=st.floats(0.0, 0.5),
+)
+def test_strong_regime_sets_converge_within_their_contraction_factor(seed, m, rho, mu, lambda1, alpha_offset, beta):
+    # the paper's linear-rate theorem, on grids that run past the caps (alpha's 1/tau - 1 <= 1,
+    # beta's (1/tau - 1)/2 < 1/2): every set the search returns contracts within its q
+    prob = gen_oracle_strong(RngStream(seed), m=m, rho=rho)
+    L, r = prob.forward.lipschitz, prob.forward.strong_monotone_modulus
+    found = find_feasible_strong(L, r, mu, lambda1, [alpha_offset + 0.05 * i for i in range(20)], [0.0, beta])
+    for params, report in found:
+        a, b, th = map(constant, (params.alpha_const, params.beta_const, params.theta_const))
+        sched = ScheduleSet(alpha=a, beta=b, theta=th, mu=params.mu, lambda1=params.lambda1)
+        _, trace = solve(prob, SolverConfig(schedules=sched, max_iters=3000, tol=1e-11, record_distance=True))
+        cert = certify_linear_rate(trace, q_bound=report.q)
+        assert cert.passed and cert.details["within_q_bound"], (params, report.q, cert.details)
 
 
 # --- the exact weak-regime clauses ------------------------------------------------

@@ -408,6 +408,7 @@ UNWRITABLE = {
     "E_n_inf": (lambda t: with_row(t, 7, E_n=math.inf), "negative or non-finite"),
     "dist_negative": (lambda t: with_row(t, 7, dist=-0.5), "negative or non-finite"),
     "dist_nan": (lambda t: with_row(t, 7, dist=math.nan), "negative or non-finite"),
+    "dist_on_some_rows": (lambda t: with_row(t, 7, dist=None), "dist on some rows only"),
     "lambda_zero": (lambda t: with_row(t, 7, **{"lambda": 0.0}), "not positive and finite"),
     "lambda_negative": (lambda t: with_row(t, 7, **{"lambda": -0.1}), "not positive and finite"),
     "lambda_inf": (lambda t: with_row(t, 7, **{"lambda": math.inf}), "not positive and finite"),
@@ -423,12 +424,30 @@ UNWRITABLE = {
 }
 
 
-# and footers solve never writes, made on the text: solve writes one, as the last line
-UNWRITABLE_FOOTERS = {
-    "footer_twice": (lambda lines: [*lines, lines[-1]], "continues after its footer"),
-    "footer_before_rows": (lambda lines: [lines[0], lines[-1], *lines[1:-1]], "continues after its footer"),
+def footer_first(text):
+    header, rest = text.split("\n", 1)
+    rows, footer = rest.rsplit("#", 1)
+    return f"{header}\n#{footer}{rows}"
+
+
+# and text solve never writes, made on the text of a trace it wrote; its footer reads
+# "# status=max_iters forward_evals=120 resolvent_evals=60 tie_breaks=..."
+UNWRITABLE_TEXT = {
+    "footer_twice": (lambda text: text + text.splitlines(True)[-1], "continues after its footer"),
+    "footer_before_rows": (footer_first, "continues after its footer"),
     # the second status would win, and a finished run's status reads
-    "status_twice": (lambda lines: [*lines[:-1], lines[-1] + " status=tolerance_met"], "repeats a key"),
+    "status_twice": (lambda text: text[:-1] + " status=tolerance_met\n", "is not one solve writes"),
+    # a missing status would read as max_iters
+    "status_missing": (lambda text: text.replace("status=max_iters ", ""), "is not one solve writes"),
+    "tie_breaks_missing": (lambda text: text.rsplit(" tie_breaks=", 1)[0] + "\n", "is not one solve writes"),
+    "footer_key_added": (lambda text: text[:-1] + " seed=3\n", "is not one solve writes"),
+    "elapsed_ms_nan": (lambda text: text.replace(",0.0\n", ",NaN\n", 1), "elapsed_ms 'NaN' at n = 1 is not 0.0"),
+    "elapsed_ms_measured": (lambda text: text.replace(",0.0\n", ",12.5\n", 1), "elapsed_ms '12.5'"),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), "unexpected trace header"),
+    "no_final_newline": (lambda text: text[:-1], "does not end with a newline"),
+    "blank_line_between_rows": (lambda text: text.replace("\n2,", "\n\n2,"), "malformed trace row: ''"),
+    # float() strips the spaces
+    "space_before_a_float": (lambda text: text.replace("\n2,", "\n2, "), "malformed trace row: '2, "),
 }
 
 
@@ -449,11 +468,11 @@ def test_trace_csv_refuses_what_solve_never_writes(case, tmp_path):
         read_trace_csv(path)
 
 
-@pytest.mark.parametrize("case", sorted(UNWRITABLE_FOOTERS))
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_TEXT))
 def test_trace_csv_refuses_a_footer_solve_never_writes(case, tmp_path):
-    edit, refusal = UNWRITABLE_FOOTERS[case]
+    edit, refusal = UNWRITABLE_TEXT[case]
     path = tmp_path / "trace.csv"
-    path.write_text("\n".join(edit(trace_to_csv(budget_trace()).splitlines())) + "\n")
+    path.write_bytes(edit(trace_to_csv(budget_trace())).encode())
     with pytest.raises(ValueError, match=refusal):
         read_trace_csv(path)
 
