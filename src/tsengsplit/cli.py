@@ -6,12 +6,12 @@ Subcommands:
   ``trace.jsonl``, ``summary.json`` and ``validation.json`` (a diverged
   solve, reported from its partial trace, writes only the last two).
 * ``sweep``    - run a parameter grid on one fixed instance; writes
-  ``sweep_summary.csv`` and ``sweep_trends.json``.  The grid points are
-  shared with helpers forked from the sweep, one per further CPU of the
-  process's affinity mask, each building its own instance from the config
-  the sweep read; rows keep grid order, and on one CPU (``taskset -c 0``)
-  or with one point the sweep runs serially.  A helper whose sweep is gone
-  (killed by a signal that runs no cleanup) exits after its current point.
+  ``sweep_summary.csv`` and ``sweep_trends.json``.  The sweep and helpers
+  forked from it, one per further CPU of the process's affinity mask (none
+  on one CPU or for one point), run one claim loop over the grid points;
+  rows keep grid order.  A point whose solve raises is solved once more by
+  the sweep at the end.  A helper whose sweep is gone (killed by a signal
+  that runs no cleanup) exits after its current point.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -400,13 +400,8 @@ def cmd_sweep(args) -> int:
     problem = build_problem(cfg)  # one instance shared by every grid point this process solves
     points = _grid_points(cfg.sweep_axes)
 
-    # helpers are forked before the first point, so they build their instance while it is solved
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = min(cpus - 1, len(points) - 1)
-    if helpers > 0:
-        rows = _rows_with_helpers(cfg, problem, points, helpers)
-    else:
-        rows = [_sweep_row(problem, cfg.solver, point) for point in points]
+    rows = _sweep_rows(cfg, problem, points, min(cpus - 1, len(points) - 1))
     worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
 
     key = ";".join(ax.param for ax in cfg.sweep_axes)
@@ -426,40 +421,30 @@ def cmd_sweep(args) -> int:
 
 
 CLAIMS_PER_WRITE = 1024  # 4-byte claims: 4 KiB, so each write to the claim pipe is atomic
-ROW_FIELDS = 4  # a sweep row as doubles: iters, final_metric, elapsed_s, 1 + status index (0: missing)
+ROW_FIELDS = 4  # a sweep row as doubles: iters, final_metric, elapsed_s, 1 + status index (0: missing, -1: raised)
 STATUSES = tuple(EXIT_BY_STATUS)
 
 
-def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, helpers: int) -> list[dict]:
+def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: int) -> list[dict]:
     """The rows of every grid point, solved by this process and ``helpers``
-    forked copies of it side by side.
+    forked copies of it side by side (none: this process solves them all).
 
     A thread writes the indices 0.. into a pipe as 4-byte claims, as GNU
-    make's jobserver hands out job slots; every process reads one claim at
-    a time until the pipe ends, so a point goes to whichever is free, and
-    stores its row by grid index in one shared table.  A helper builds its
-    own instance (two processes reading one instance's pages run slower).
-    This process waits only while rows are missing, then runs every point
-    no helper stored (one that cannot start, dies or raises stores none),
-    so errors surface as in a serial sweep.  Every helper is killed and
-    reaped before this returns.
+    make's jobserver hands out job slots; every process runs
+    :func:`_serve_points` on it, so a point goes to whichever is free, and
+    its row lands by grid index in one shared table.  The helpers are forked
+    before the first point is solved and build their own instance meanwhile
+    (two processes reading one instance's pages run slower).  This process
+    waits only while rows are missing, kills and reaps every helper, then
+    solves once more, in grid order, each point no process stored (its
+    helper could not start or died) or whose solve raised, so the first
+    error in grid order surfaces.
     """
     import mmap
     import signal
     import threading
 
     table = memoryview(mmap.mmap(-1, 8 * ROW_FIELDS * len(points))).cast("d")
-    errors: dict[int, Exception] = {}
-
-    def run_here(i: int) -> None:
-        try:
-            _store_row(table, i, _sweep_row(problem, cfg.solver, points[i]))
-        except Exception as err:  # raised below, once every earlier point is known
-            errors[i] = err
-
-    def missing(i: int) -> bool:
-        return i not in errors and not table[ROW_FIELDS * i + 3]
-
     claims, feed = os.pipe()
     sweep = os.getpid()
     # started after the forks: a helper must not inherit a thread's held lock
@@ -475,16 +460,15 @@ def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, he
                 code = 1
                 try:
                     os.close(feed)  # so the claim pipe ends once the feeder closes its end
-                    _serve_points(claims, table, cfg, points, sweep)
+                    _serve_points(claims, table, build_problem(cfg), cfg.solver, points, lambda: os.getppid() == sweep)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
         feeder.start()
-        while claim := os.read(claims, 4):
-            run_here(int.from_bytes(claim, "little"))
+        _serve_points(claims, table, problem, cfg.solver, points, lambda: True)
         # the pipe has ended, so each helper exits after its current point
-        while pids and any(map(missing, range(len(points)))):
+        while pids and not all(table[3::ROW_FIELDS]):  # a row is missing; a raised one is present
             os.waitpid(pids.pop(), 0)
     finally:
         for pid in pids:
@@ -496,13 +480,11 @@ def _rows_with_helpers(cfg: ExperimentConfig, problem: Problem, points: list, he
             os.close(feed)
         else:
             feeder.join()
-    for i in filter(missing, range(len(points))):
-        run_here(i)
-    if errors:
-        raise errors[min(errors)]  # the first in grid order, as in a serial sweep
     stored = [table[ROW_FIELDS * i : ROW_FIELDS * (i + 1)] for i in range(len(points))]
     return [
         {"point": point, "iters": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
+        if s > 0
+        else _sweep_row(problem, cfg.solver, point)  # missing or raised: solved here, so a raise surfaces in grid order
         for point, (n, m, e, s) in zip(points, stored)
     ]
 
@@ -526,15 +508,20 @@ def _feed_claims(fd: int, count: int) -> None:
         os.close(fd)
 
 
-def _serve_points(claims: int, table, cfg: ExperimentConfig, points: list, sweep: int) -> None:
-    """A forked helper: build the instance, then solve and store in ``table``
-    each grid point it claims from the pipe ``claims``, until the pipe ends
-    or the sweep process ``sweep`` is gone (a sweep killed by a signal runs
-    no ``finally`` and kills no helper, so a helper checks before each claim)."""
-    problem = build_problem(cfg)
-    while os.getppid() == sweep and (claim := os.read(claims, 4)):
+def _serve_points(claims: int, table, problem: Problem, solver_cfg: SolverConfig, points: list, alive) -> None:
+    """Solve on ``problem`` and store in ``table`` each grid point claimed
+    from the pipe ``claims``, until the pipe ends or ``alive()`` fails (a
+    sweep killed by a signal runs no ``finally`` and kills no helper, so a
+    helper checks before each claim that its sweep is still its parent).
+    A point whose solve raises gets the status -1 and the loop goes on."""
+    while alive() and (claim := os.read(claims, 4)):
         i = int.from_bytes(claim, "little")
-        _store_row(table, i, _sweep_row(problem, cfg.solver, points[i]))
+        try:
+            row = _sweep_row(problem, solver_cfg, points[i])
+        except Exception:  # the sweep solves the point again and raises its error
+            table[ROW_FIELDS * i + 3] = -1
+        else:
+            _store_row(table, i, row)
 
 
 def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:

@@ -35,17 +35,6 @@ from .operators import (
 )
 from .solver import Problem
 
-__all__ = [
-    "LassoInstance",
-    "AffineVIInstance",
-    "L2VIInstance",
-    "gen_lasso",
-    "gen_affine_vi",
-    "gen_l2_vi",
-    "gen_oracle_strong",
-    "oracle_orthant_vi",
-]
-
 
 @dataclass(eq=False)
 class LassoInstance:

@@ -35,26 +35,6 @@ from dataclasses import dataclass, fields
 from itertools import count, repeat
 from typing import Callable, Iterator
 
-__all__ = [
-    "SEQUENCE_KINDS",
-    "SequenceSpec",
-    "constant",
-    "rational",
-    "one_minus_pow10",
-    "inverse_square",
-    "ScheduleSet",
-    "beta_bound",
-    "ClauseResult",
-    "ValidationReport",
-    "validate_c3",
-    "StrongParams",
-    "StrongReport",
-    "validate_strong",
-    "find_feasible_strong",
-    "preset",
-    "PRESET_NAMES",
-]
-
 
 # ---------------------------------------------------------------------------
 # sequence family

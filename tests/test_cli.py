@@ -729,9 +729,13 @@ def test_a_helper_exits_after_its_point_when_its_sweep_is_killed(tmp_path):
 
 
 def dying_helper(marker):
-    """A ``_serve_points`` that claims one point, records it in ``marker`` and dies holding it."""
+    """A ``_serve_points`` under which a helper claims one point, records it
+    in ``marker`` and dies holding it; this process serves as before."""
+    real_serve, parent = cli._serve_points, os.getpid()
 
-    def serve(claims, table, cfg, points, sweep):
+    def serve(claims, *args):
+        if os.getpid() == parent:
+            return real_serve(claims, *args)
         marker.write_text(str(int.from_bytes(os.read(claims, 4), "little")))
         os._exit(1)
 
@@ -770,21 +774,23 @@ def test_error_at_the_first_point_surfaces_while_a_helper_runs(wide_sweep, tmp_p
     cfg, _ = wide_sweep
     points = cli._grid_points(cli.load_config(cfg).sweep_axes)
     pids, alive_at_error = [], []
-    real_fork, real_serve = os.fork, cli._serve_points
+    real_fork, real_serve, parent = os.fork, cli._serve_points, os.getpid()
 
     def fork():
         pid = real_fork()
         pids.append(pid)
         return pid
 
-    def slow_serve(*args):  # as a helper building a large instance is, so this process claims point 0
-        time.sleep(1.0)
+    def slow_serve(*args):  # a helper is slow, as one building a large instance is, so this process claims point 0
+        if os.getpid() != parent:
+            time.sleep(1.0)
         real_serve(*args)
 
     def fail_at(point):
         if point != points[0]:
             return False
-        alive_at_error.extend(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids)
+        if not alive_at_error:  # the first error; the sweep solves the point again once its helper is reaped
+            alive_at_error.extend(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids)
         return True
 
     monkeypatch.setattr(os, "fork", fork)
@@ -793,3 +799,50 @@ def test_error_at_the_first_point_surfaces_while_a_helper_runs(wide_sweep, tmp_p
         run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2, fail_at=fail_at)
     assert alive_at_error == [True]
     assert str(err.value) == f"failed at {points[0]}"
+
+
+def test_a_helper_whose_point_raises_serves_on(wide_sweep, tmp_path, monkeypatch):
+    # the helper's first point raises in every process; this process holds its
+    # first point until the helper has stored another one after that error
+    cfg, _ = wide_sweep
+    points = cli._grid_points(cli.load_config(cfg).sweep_axes)
+    raising, stored, pids, held = tmp_path / "raising", tmp_path / "stored", [], []
+    real_fork, real_row, real_store, parent = os.fork, cli._sweep_row, cli._store_row, os.getpid()
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def store(table, i, row):
+        real_store(table, i, row)
+        with open(stored, "a") as log:
+            log.write(f"{os.getpid()} {i}\n")
+
+    def helper_stored() -> bool:
+        lines = stored.read_text().splitlines() if stored.exists() else []
+        return any(int(line.split()[0]) != parent for line in lines)
+
+    def row(problem, solver_cfg, point):
+        if os.getpid() != parent:
+            if not raising.exists():
+                raising.write_text(str(points.index(point)))
+        elif not held:
+            held.append(point)
+            deadline = time.monotonic() + 10.0
+            while not helper_stored() and time.monotonic() < deadline:
+                time.sleep(0.02)
+        if raising.exists() and point == points[int(raising.read_text())]:
+            raise RuntimeError(f"failed at {point}")
+        return real_row(problem, solver_cfg, point)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_sweep_row", row)
+    monkeypatch.setattr(cli, "_store_row", store)
+    with pytest.raises(RuntimeError) as err:
+        run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2)
+    assert str(err.value) == f"failed at {points[int(raising.read_text())]}"
+    assert helper_stored(), "the helper stored no point after its error"
+    for pid in pids:  # every helper was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
