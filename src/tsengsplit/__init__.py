@@ -19,16 +19,14 @@ from .linalg import (
     uniform_matrix,
 )
 from .operators import (
-    ConvexSetProjector,
     ForwardOperator,
     Resolvent,
     affine_forward,
+    hyperplane_resolvent,
     least_squares_gradient,
-    orthant_projector,
+    orthant_resolvent,
     pointwise_max_zero,
-    projector_as_resolvent,
     soft_threshold_resolvent,
-    weighted_hyperplane_projector,
 )
 from .problems import (
     AffineVIInstance,

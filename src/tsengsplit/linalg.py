@@ -138,8 +138,8 @@ def uniform_matrix(rng: RngStream, rows: int, cols: int, lo: float, hi: float) -
     return m
 
 
-def spectral_norm_estimate(m: Matrix, steps: int = 100) -> float:
-    """Largest-singular-value estimate of ``m`` by power iteration.
+def spectral_norm_estimate(m: Matrix) -> float:
+    """Largest-singular-value estimate of ``m`` by 100 power iterations.
 
     Deterministic start vector; the result is an estimate (typically a
     slight underestimate), not a certified bound.
@@ -150,7 +150,7 @@ def spectral_norm_estimate(m: Matrix, steps: int = 100) -> float:
     v = np.ones(m.shape[1])
     v[:: 2] += 0.5  # break symmetry against alternating-sign top vectors
     v /= np.linalg.norm(v)
-    for _ in range(steps):
+    for _ in range(100):
         w = m.T @ (m @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:

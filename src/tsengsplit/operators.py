@@ -1,10 +1,12 @@
-"""Catalog of forward operators, resolvents, and convex-set projectors.
+"""Catalog of forward operators and resolvents.
 
 A monotone inclusion ``0 in (A + B)x`` is described to the solver by a
 single-valued forward operator ``A`` and the resolvent of the set-valued
 part ``B``, i.e. the map ``x -> (I + lam*B)^{-1} x``.  Variational
-inequalities over a closed convex set are the special case where the
-resolvent is the metric projection onto the set.
+inequalities over a closed convex set are the special case where ``B`` is
+the set's normal cone, whose resolvent is the metric projection onto the
+set for every ``lam``: the orthant and hyperplane projections are built
+as :class:`Resolvent` objects that ignore ``lam``.
 
 Operators are immutable after construction and evaluation is pure, so
 they are safe to share between concurrent solver runs.  Lipschitz and
@@ -31,7 +33,6 @@ from .linalg import (
     Vector,
     aligned_matrix,
     inner,
-    norm,
     spectral_norm_estimate,
 )
 
@@ -92,14 +93,6 @@ class Resolvent:
         return self.fn(x, lam)
 
 
-@dataclass(frozen=True)
-class ConvexSetProjector:
-    """Metric projection onto a closed convex set plus a membership residual."""
-
-    project: Callable[[Vector], Vector]
-    membership_residual: Callable[[Vector], float]
-
-
 def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
     """Affine map ``x -> M x + q``, evaluated as ``M x`` when ``q`` is zero.
 
@@ -119,7 +112,7 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
         # adding a zero q could only turn a -0.0 into 0.0
         fn=(lambda x: m_mat @ x + q) if q.any() else m_mat.__matmul__,
         estimators={
-            "lipschitz": lambda: spectral_norm_estimate(m_mat, steps=100),
+            "lipschitz": lambda: spectral_norm_estimate(m_mat),
             "strong_monotone_modulus": lambda: max(0.0, float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])),
         },
     )
@@ -141,7 +134,7 @@ def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({a_mat.shape[0]},)")
     return ForwardOperator(
         fn=lambda x: a_mat.T @ (a_mat @ x - y),
-        estimators={"lipschitz": lambda: spectral_norm_estimate(a_mat, steps=100) ** 2},
+        estimators={"lipschitz": lambda: spectral_norm_estimate(a_mat) ** 2},
     )
 
 
@@ -169,45 +162,22 @@ def soft_threshold_resolvent(rho: float) -> Resolvent:
     return Resolvent(fn=fn)
 
 
-def orthant_projector(m: int) -> ConvexSetProjector:
-    """Projection onto the nonnegative orthant of dimension ``m``."""
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    return ConvexSetProjector(
-        project=lambda x: np.maximum(x, 0.0),
-        membership_residual=lambda x: norm(np.minimum(x, 0.0)),
-    )
+def orthant_resolvent() -> Resolvent:
+    """Projection onto the nonnegative orthant, the resolvent of its normal cone."""
+    return Resolvent(fn=lambda x, lam: np.maximum(x, 0.0))
 
 
-def weighted_hyperplane_projector(
-    w: Vector, b: float, weights: Vector | None = None
-) -> ConvexSetProjector:
-    """Projection onto the hyperplane ``{x : <w, x> = b}``.
+def hyperplane_resolvent(w: Vector, b: float, weights: Vector | None = None) -> Resolvent:
+    """Projection onto the hyperplane ``{x : <w, x> = b}``, the resolvent of its normal cone.
 
     With a positive ``weights`` vector the inner products (and hence the
     projection geometry) are quadrature-weighted; this realizes the
     projection onto a linear integral constraint for grid-sampled
-    functions.  The returned map restores ``<w, project(x)> = b`` exactly
-    up to roundoff.
+    functions.  The returned map restores ``<w, J(x, lam)> = b`` exactly
+    up to roundoff, whatever ``lam``.
     """
     w = np.asarray(w, dtype=np.float64)
     gram = inner(w, w, weights)
     if gram <= 0.0:
         raise ValueError("weight vector of the hyperplane must be nonzero")
-
-    def project(x: Vector) -> Vector:
-        return x - ((inner(w, x, weights) - b) / gram) * w
-
-    return ConvexSetProjector(
-        project=project,
-        membership_residual=lambda x: abs(inner(w, x, weights) - b),
-    )
-
-
-def projector_as_resolvent(p: ConvexSetProjector) -> Resolvent:
-    """Resolvent of the normal cone of a convex set: the projection itself.
-
-    Independent of the resolvent parameter, which is exactly what makes
-    the inclusion solver cover variational inequalities.
-    """
-    return Resolvent(fn=lambda x, lam: p.project(x))
+    return Resolvent(fn=lambda x, lam: x - ((inner(w, x, weights) - b) / gram) * w)

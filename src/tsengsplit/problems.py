@@ -10,6 +10,9 @@ Three experiment families are provided:
 * a variational inequality for grid-sampled functions on [0, 1] with a
   linear integral constraint, using trapezoid quadrature weights.
 
+Each variational inequality takes the projection onto its feasible set
+as its resolvent (``orthant_resolvent``, ``hyperplane_resolvent``).
+
 Oracle constructors register a closed-form solution so runs can record
 the distance to it; registration verifies the fixed-point property.
 Generators are pure functions of their random stream, so a seed replays
@@ -26,12 +29,11 @@ import numpy as np
 from .linalg import Matrix, RngStream, Vector, aligned_empty, as_vector, uniform_matrix
 from .operators import (
     affine_forward,
+    hyperplane_resolvent,
     least_squares_gradient,
-    orthant_projector,
+    orthant_resolvent,
     pointwise_max_zero,
-    projector_as_resolvent,
     soft_threshold_resolvent,
-    weighted_hyperplane_projector,
 )
 from .solver import Problem
 
@@ -142,7 +144,7 @@ def gen_affine_vi(
     inst = AffineVIInstance(m_mat=m_mat)
     prob = Problem(
         forward=affine_forward(m_mat, q_vec),
-        backward=projector_as_resolvent(orthant_projector(m)),
+        backward=orthant_resolvent(),
         dimension=m,
         known_solution=known,
         x0=np.ones(m),
@@ -186,7 +188,7 @@ def gen_l2_vi(m: int = 200, case: int = 1) -> tuple[L2VIInstance, Problem]:
     inst = L2VIInstance(grid=grid)
     prob = Problem(
         forward=pointwise_max_zero(),
-        backward=projector_as_resolvent(weighted_hyperplane_projector(grid, b, weights=weights)),
+        backward=hyperplane_resolvent(grid, b, weights=weights),
         dimension=m,
         known_solution=known,
         weights=weights,
@@ -222,7 +224,7 @@ def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:
     )
     return Problem(
         forward=forward,
-        backward=projector_as_resolvent(orthant_projector(m)),
+        backward=orthant_resolvent(),
         dimension=m,
         known_solution=np.zeros(m),
         x0=np.ones(m),
@@ -241,7 +243,7 @@ def oracle_orthant_vi(q: Vector = (-1.0, 1.0)) -> Problem:
     m = q.size
     return Problem(
         forward=affine_forward(np.eye(m), q),
-        backward=projector_as_resolvent(orthant_projector(m)),
+        backward=orthant_resolvent(),
         dimension=m,
         known_solution=np.maximum(0.0, -q),
         x0=np.ones(m),

@@ -374,6 +374,11 @@ def certify_sqrt_rate(trace: SolverTrace) -> RateReport:
     ``C`` itself (every last-quarter value above every third-quarter
     value while exceeding the fit), which catches stagnating residuals
     that the doubling margin alone cannot.
+
+    The verdict is about the rows given and nothing else.  A trace cut off
+    by ``max_iters`` before its residual reaches the ``1/sqrt(n)`` regime
+    can fail the sustained-growth clause and pass at a larger budget;
+    README cites a reproducer.
     """
     t = len(trace.rows)
     if t < 50:

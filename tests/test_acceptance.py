@@ -342,8 +342,8 @@ def test_criterion_10_property_suites():
     wts[0] = wts[-1] = h / 2
     resolvents = [
         (ts.soft_threshold_resolvent(0.5), None),
-        (ts.projector_as_resolvent(ts.orthant_projector(10)), None),
-        (ts.projector_as_resolvent(ts.weighted_hyperplane_projector(grid, 2.0, weights=wts)), wts),
+        (ts.orthant_resolvent(), None),
+        (ts.hyperplane_resolvent(grid, 2.0, weights=wts), wts),
     ]
     for res, w in resolvents:
         dim = 30 if w is not None else 10
@@ -372,13 +372,13 @@ def test_criterion_10_property_suites():
             failures += abs(grad[i] - fd) > 1e-4 * (1.0 + abs(grad[i]))
 
     # projector idempotence and constraint restoration
-    proj = ts.orthant_projector(12)
-    hyp = ts.weighted_hyperplane_projector(grid, 2.0, weights=wts)
+    orthant, plane = ts.orthant_resolvent(), ts.hyperplane_resolvent(grid, 2.0, weights=wts)
     for _ in range(500):
         x = g.standard_normal(12)
-        failures += ts.norm(proj.project(proj.project(x)) - proj.project(x)) > 1e-9
+        px = orthant(x, 0.7)
+        failures += ts.norm(orthant(px, 0.7) - px) > 1e-9
         v = g.standard_normal(30)
-        failures += hyp.membership_residual(hyp.project(v)) > 1e-9
+        failures += abs(ts.inner(grid, plane(v, 0.7), wts) - 2.0) > 1e-9
 
     report(10, "property suites (identity/resolvents/gradient/projectors)", failures == 0,
            f"{failures} failures")

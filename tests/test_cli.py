@@ -26,7 +26,7 @@ from contract_cases import (
     edited,
     materialize,
 )
-from tsengsplit import ForwardOperator, Problem, cli, orthant_projector, projector_as_resolvent, rational
+from tsengsplit import ForwardOperator, Problem, cli, orthant_resolvent, rational
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
 
@@ -295,7 +295,7 @@ def test_tie_breaks_on_a_constant_forward_map_warn_in_the_summary(tmp_path, monk
     def constant_problem(cfg):
         return Problem(
             forward=ForwardOperator(fn=np.ones_like),
-            backward=projector_as_resolvent(orthant_projector(2)),
+            backward=orthant_resolvent(),
             dimension=2,
             x0=np.ones(2),
             x1=np.ones(2),

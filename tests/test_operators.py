@@ -6,16 +6,15 @@ from tsengsplit import (
     affine_forward,
     gen_l2_vi,
     gen_oracle_strong,
+    hyperplane_resolvent,
     inner,
     least_squares_gradient,
     norm,
     oracle_orthant_vi,
-    orthant_projector,
+    orthant_resolvent,
     pointwise_max_zero,
-    projector_as_resolvent,
     soft_threshold_resolvent,
     uniform_matrix,
-    weighted_hyperplane_projector,
 )
 from tsengsplit import linalg
 from tsengsplit.linalg import DimensionMismatchError, aligned_matrix
@@ -70,16 +69,16 @@ def test_matrix_metadata_estimated_once_on_first_read(monkeypatch):
 
     calls = []
     real = operators.spectral_norm_estimate
-    monkeypatch.setattr(operators, "spectral_norm_estimate", lambda m, steps: calls.append(steps) or real(m, steps))
+    monkeypatch.setattr(operators, "spectral_norm_estimate", lambda m: calls.append(m.shape) or real(m))
     m = uniform_matrix(RngStream(102), 6, 6, -5.0, 5.0)
     aff = affine_forward(m, np.zeros(6))
     lsq = least_squares_gradient(m[:4], np.ones(4))
     assert calls == []  # construction estimates nothing
-    assert aff.lipschitz == real(m, steps=100)
+    assert aff.lipschitz == real(m)
     assert aff.strong_monotone_modulus == max(0.0, float(np.linalg.eigvalsh(0.5 * (m + m.T))[0]))
-    assert lsq.lipschitz == real(m[:4], steps=100) ** 2
+    assert lsq.lipschitz == real(m[:4]) ** 2
     assert aff.lipschitz == aff.lipschitz and lsq.lipschitz == lsq.lipschitz
-    assert calls == [100, 100]  # one estimate per operator, then cached
+    assert calls == [(6, 6), (4, 6)]  # one estimate per operator, then cached
 
 
 def test_affine_lipschitz_metadata_sound():
@@ -258,31 +257,32 @@ def test_soft_threshold_subgradient_optimality():
                 assert abs(slack) <= rho + 1e-10
 
 
-# --- projectors --------------------------------------------------------------
+# --- projections as resolvents -----------------------------------------------
 
 
 def test_orthant_projector_basics():
-    p = orthant_projector(2)
-    assert np.allclose(p.project(np.array([-1.0, 2.0])), [0.0, 2.0])
+    r = orthant_resolvent()
+    assert np.allclose(r(np.array([-1.0, 2.0]), 0.5), [0.0, 2.0])
     x = np.array([0.5, 3.0])
-    assert np.array_equal(p.project(x), x)
-    assert p.membership_residual(np.array([-3.0, 4.0])) == pytest.approx(3.0)
+    assert np.array_equal(r(x, 0.5), x)
+    assert (r(np.array([-3.0, 4.0]), 0.5) >= 0.0).all()
 
 
 def test_orthant_projector_idempotent_sweep():
-    p = orthant_projector(12)
+    r = orthant_resolvent()
     g = RngStream(106).generator()
     for _ in range(1000):
         x = g.standard_normal(12)
-        px = p.project(x)
-        assert norm(p.project(px) - px) <= 1e-10
+        px = r(x, 0.5)
+        assert (px >= 0.0).all()
+        assert norm(r(px, 0.5) - px) <= 1e-10
 
 
 def test_hyperplane_projector_membership_fixed_point():
     w = np.array([1.0, 2.0, -1.0])
-    p = weighted_hyperplane_projector(w, 3.0)
+    r = hyperplane_resolvent(w, 3.0)
     x = np.array([1.0, 1.0, 0.0])  # <w, x> = 3 already
-    assert np.allclose(p.project(x), x)
+    assert np.allclose(r(x, 0.5), x)
 
 
 def test_hyperplane_projector_restores_constraint():
@@ -290,11 +290,11 @@ def test_hyperplane_projector_restores_constraint():
     h = grid[1] - grid[0]
     wts = np.full(60, h)
     wts[0] = wts[-1] = h / 2
-    p = weighted_hyperplane_projector(grid, 2.0, weights=wts)
+    r = hyperplane_resolvent(grid, 2.0, weights=wts)
     g = RngStream(107).generator()
     for _ in range(200):
         x = g.standard_normal(60)
-        assert p.membership_residual(p.project(x)) <= 1e-10
+        assert abs(inner(grid, r(x, 0.5), wts) - 2.0) <= 1e-10
 
 
 def test_hyperplane_projector_weighted_linear_profile():
@@ -305,27 +305,25 @@ def test_hyperplane_projector_weighted_linear_profile():
     h = grid[1] - grid[0]
     wts = np.full(m, h)
     wts[0] = wts[-1] = h / 2
-    p = weighted_hyperplane_projector(grid, 2.0, weights=wts)
+    r = hyperplane_resolvent(grid, 2.0, weights=wts)
     x = 6.0 * grid
-    assert norm(p.project(x) - x, weights=wts) <= 10.0 * h**2
+    assert norm(r(x, 0.5) - x, weights=wts) <= 10.0 * h**2
 
 
 def test_hyperplane_projector_rejects_zero_weight():
     with pytest.raises(ValueError):
-        weighted_hyperplane_projector(np.zeros(3), 1.0)
-
-
-# --- resolvent wrapping -------------------------------------------------------
+        hyperplane_resolvent(np.zeros(3), 1.0)
 
 
 def test_projector_as_resolvent_ignores_lam():
-    res = projector_as_resolvent(orthant_projector(2))
-    x = np.array([-1.0, 2.0])
-    assert np.allclose(res(x, 0.5), [0.0, 2.0])
+    # a projection is the resolvent of the set's normal cone for every lam
+    orthant, plane = orthant_resolvent(), hyperplane_resolvent(np.array([1.0, -2.0]), 0.5)
+    assert np.allclose(orthant(np.array([-1.0, 2.0]), 0.5), [0.0, 2.0])
     g = RngStream(108).generator()
     for _ in range(100):
         v = g.standard_normal(2)
-        assert np.array_equal(res(v, 0.1), res(v, 10.0))
+        assert np.array_equal(orthant(v, 0.1), orthant(v, 10.0))
+        assert np.array_equal(plane(v, 0.1), plane(v, 10.0))
 
 
 @pytest.mark.parametrize("which", ["soft", "orthant", "hyperplane"])
@@ -335,13 +333,13 @@ def test_resolvents_firmly_nonexpansive(which):
     if which == "soft":
         res = soft_threshold_resolvent(0.8)
     elif which == "orthant":
-        res = projector_as_resolvent(orthant_projector(10))
+        res = orthant_resolvent()
     else:
         grid = np.linspace(0.0, 1.0, 10)
         h = grid[1] - grid[0]
         wts = np.full(10, h)
         wts[0] = wts[-1] = h / 2
-        res = projector_as_resolvent(weighted_hyperplane_projector(grid, 2.0, weights=wts))
+        res = hyperplane_resolvent(grid, 2.0, weights=wts)
     for _ in range(1000):
         x, y = 3.0 * g.standard_normal(10), 3.0 * g.standard_normal(10)
         jx, jy = res(x, 0.4), res(y, 0.4)

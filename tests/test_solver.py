@@ -18,16 +18,19 @@ from tsengsplit import (
     certify_linear_rate,
     certify_sqrt_rate,
     constant,
+    gen_affine_vi,
+    gen_l2_vi,
+    gen_lasso,
     gen_oracle_strong,
     inverse_square,
     oracle_orthant_vi,
-    orthant_projector,
+    orthant_resolvent,
     preset,
-    projector_as_resolvent,
     read_trace_csv,
     solve,
     write_trace_csv,
 )
+from tsengsplit import operators, solver
 from tsengsplit.solver import trace_to_csv
 
 
@@ -142,6 +145,47 @@ def test_solve_operation_counts():
     assert trace.forward_evals == 2 * 25 and trace.resolvent_evals == 25
 
 
+# one small problem per family; the last forward map is constant, so its run ends in an exact stop
+COUNTED_PROBLEMS = {
+    "lasso": lambda: gen_lasso(RngStream(7), k=3, m_rows=20, n_cols=40)[1],
+    "affine_vi": lambda: gen_affine_vi(RngStream(7), m=8)[1],
+    "l2_vi": lambda: gen_l2_vi(20, 2)[1],
+    "oracle_strong": lambda: gen_oracle_strong(RngStream(7), m=6),
+    "oracle_orthant": lambda: oracle_orthant_vi(np.array([-1.0, 1.0])),
+    "exact_stop": lambda: Problem(
+        forward=ForwardOperator(fn=np.ones_like), backward=orthant_resolvent(), dimension=2, x0=np.ones(2), x1=np.ones(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("stop_rule", ["step_diff", "iterate_norm", "residual"])
+@pytest.mark.parametrize("family", sorted(COUNTED_PROBLEMS))
+def test_solve_reaches_every_map_through_the_calls_the_benchmark_counts(family, stop_rule, monkeypatch):
+    # the benchmark's tracer counts forward, resolvent and norm calls by patching these three
+    prob = COUNTED_PROBLEMS[family]()
+    calls = dict.fromkeys(("forward", "resolvent", "norm"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(operators.ForwardOperator, "__call__", counted("forward", operators.ForwardOperator.__call__))
+    monkeypatch.setattr(operators.Resolvent, "__call__", counted("resolvent", operators.Resolvent.__call__))
+    monkeypatch.setattr(solver, "norm", counted("norm", solver.norm))
+    cfg = SolverConfig(schedules=preset("paper_default"), max_iters=50, tol=1e-30, stop_rule=stop_rule)
+    _, trace = solve(prob, cfg)
+    assert trace.status == ("exact_solution" if family == "exact_stop" else "max_iters")
+    assert calls["forward"] == trace.forward_evals
+    assert calls["resolvent"] == trace.resolvent_evals
+    # ||w - y||, ||w||, ||A(w) - A(y)||, ||A(w)||, the stop metric unless the rule is residual,
+    # the distance when recorded; an exact stop skips ||A(w) - A(y)|| and ||A(w)||
+    per_iter = 4 + (stop_rule != "residual") + (prob.known_solution is not None)
+    assert calls["norm"] == len(trace) * per_iter - 2 * (trace.status == "exact_solution")
+
+
 # --- full solves -------------------------------------------------------------------
 
 
@@ -252,7 +296,7 @@ def test_descent_assertion_fires_on_a_non_monotone_map():
     # the first step moves away from it and breaks the descent inequality
     prob = Problem(
         forward=ForwardOperator(fn=lambda x: -x),
-        backward=projector_as_resolvent(orthant_projector(2)),
+        backward=orthant_resolvent(),
         dimension=2,
         known_solution=np.zeros(2),
         x0=np.ones(2),
@@ -481,7 +525,7 @@ def test_trace_csv_of_an_exact_stop_reads(tmp_path):
     # A = 1 pushes the iterates onto 0, where the backward step of w = 0 returns w
     prob = Problem(
         forward=ForwardOperator(fn=np.ones_like),
-        backward=projector_as_resolvent(orthant_projector(2)),
+        backward=orthant_resolvent(),
         dimension=2,
         x0=np.ones(2),
         x1=np.ones(2),
