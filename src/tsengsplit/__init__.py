@@ -15,7 +15,6 @@ from .linalg import (
     Vector,
     inner,
     norm,
-    spectral_norm_estimate,
     uniform_matrix,
 )
 from .operators import (

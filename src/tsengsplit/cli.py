@@ -8,10 +8,11 @@ Subcommands:
 * ``sweep``    - run a parameter grid on one fixed instance; writes
   ``sweep_summary.csv`` and ``sweep_trends.json``.  The sweep and helpers
   forked from it, one per further CPU of the process's affinity mask (none
-  on one CPU or for one point), run one claim loop over the grid points;
-  rows keep grid order.  A point whose solve raises is solved once more by
-  the sweep at the end.  A helper whose sweep is gone (killed by a signal
-  that runs no cleanup) exits after its current point.
+  on one CPU or for one point), run one claim loop: each reads grid
+  indices from one unlinked file they share, so every point is claimed
+  once, and rows keep grid order.  A point whose solve raises is solved
+  once more by the sweep at the end.  A helper whose sweep is gone (killed
+  by a signal that runs no cleanup) exits after its current point.
 * ``validate`` - print the schedule validation reports.
 * ``certify``  - run a rate certificate against a stored trace CSV.
 
@@ -420,7 +421,6 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-CLAIMS_PER_WRITE = 1024  # 4-byte claims: 4 KiB, so each write to the claim pipe is atomic
 ROW_FIELDS = 4  # a sweep row as doubles: iters, final_metric, elapsed_s, 1 + status index (0: missing, -1: raised)
 STATUSES = tuple(EXIT_BY_STATUS)
 
@@ -429,57 +429,55 @@ def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: 
     """The rows of every grid point, solved by this process and ``helpers``
     forked copies of it side by side (none: this process solves them all).
 
-    A thread writes the indices 0.. into a pipe as 4-byte claims, as GNU
-    make's jobserver hands out job slots; every process runs
-    :func:`_serve_points` on it, so a point goes to whichever is free, and
-    its row lands by grid index in one shared table.  The helpers are forked
-    before the first point is solved and build their own instance meanwhile
-    (two processes reading one instance's pages run slower).  This process
-    waits only while rows are missing, kills and reaps every helper, then
-    solves once more, in grid order, each point no process stored (its
-    helper could not start or died) or whose solve raised, so the first
-    error in grid order surfaces.
+    The claims, the indices 0.. as 4-byte integers, lie in an unlinked file
+    written before the forks.  The processes share its open file
+    description, and a read of a regular file returns its bytes and moves
+    the shared offset in one step, so each claim goes to one process.  Every
+    process runs :func:`_serve_points` on it, so a point goes to whichever
+    is free, and its row lands by grid index in one shared table.  The
+    helpers are forked before the first point is solved and build their own
+    instance meanwhile (two processes reading one instance's pages run
+    slower).  This process waits only while rows are missing, kills and
+    reaps every helper, then solves once more, in grid order, each point no
+    process stored (its helper could not start or died) or whose solve
+    raised, so the first error in grid order surfaces.
     """
     import mmap
     import signal
-    import threading
+    import tempfile
 
     table = memoryview(mmap.mmap(-1, 8 * ROW_FIELDS * len(points))).cast("d")
-    claims, feed = os.pipe()
-    sweep = os.getpid()
-    # started after the forks: a helper must not inherit a thread's held lock
-    feeder = threading.Thread(target=_feed_claims, args=(feed, len(points)), daemon=True)
-    pids: list[int] = []
-    try:
-        for _ in range(helpers):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:  # a helper: every way out is os._exit, which flushes nothing
-                code = 1
+    with contextlib.ExitStack() as stack:
+        with _config_boundary("cannot write the sweep's claims"):
+            claim_file = stack.enter_context(tempfile.TemporaryFile(buffering=0))
+            claim_file.write(b"".join(i.to_bytes(4, "little") for i in range(len(points))))
+            claim_file.seek(0)
+        claims, sweep = claim_file.fileno(), os.getpid()
+        pids: list[int] = []
+        try:
+            for _ in range(helpers):
                 try:
-                    os.close(feed)  # so the claim pipe ends once the feeder closes its end
-                    _serve_points(claims, table, build_problem(cfg), cfg.solver, points, lambda: os.getppid() == sweep)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        feeder.start()
-        _serve_points(claims, table, problem, cfg.solver, points, lambda: True)
-        # the pipe has ended, so each helper exits after its current point
-        while pids and not all(table[3::ROW_FIELDS]):  # a row is missing; a raised one is present
-            os.waitpid(pids.pop(), 0)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        os.close(claims)  # with every reader gone, a blocked feed write fails and the feeder ends
-        if feeder.ident is None:
-            os.close(feed)
-        else:
-            feeder.join()
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:  # a helper: every way out is os._exit, which flushes nothing
+                    code = 1
+                    try:
+                        own = build_problem(cfg)
+                        _serve_points(claims, table, own, cfg.solver, points, lambda: os.getppid() == sweep)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            _serve_points(claims, table, problem, cfg.solver, points, lambda: True)
+            # every claim is taken, so each helper exits after its current point
+            while pids and not all(table[3::ROW_FIELDS]):  # a row is missing; a raised one is present
+                os.waitpid(pids.pop(), 0)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
     stored = [table[ROW_FIELDS * i : ROW_FIELDS * (i + 1)] for i in range(len(points))]
     return [
         {"point": point, "iters": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
@@ -496,24 +494,13 @@ def _store_row(table, i: int, row: dict) -> None:
     table[at + 3] = STATUSES.index(row["status"]) + 1
 
 
-def _feed_claims(fd: int, count: int) -> None:
-    """Write the claims ``0..count-1`` to the pipe ``fd``, then close it, so
-    that readers see its end once they have taken every claim."""
-    try:
-        for start in range(0, count, CLAIMS_PER_WRITE):
-            os.write(fd, b"".join(i.to_bytes(4, "little") for i in range(start, min(start + CLAIMS_PER_WRITE, count))))
-    except BrokenPipeError:  # the sweep ended early and no process reads claims
-        pass
-    finally:
-        os.close(fd)
-
-
 def _serve_points(claims: int, table, problem: Problem, solver_cfg: SolverConfig, points: list, alive) -> None:
     """Solve on ``problem`` and store in ``table`` each grid point claimed
-    from the pipe ``claims``, until the pipe ends or ``alive()`` fails (a
-    sweep killed by a signal runs no ``finally`` and kills no helper, so a
-    helper checks before each claim that its sweep is still its parent).
-    A point whose solve raises gets the status -1 and the loop goes on."""
+    from the claim file ``claims``, until its claims run out or ``alive()``
+    fails (a sweep killed by a signal runs no ``finally`` and kills no
+    helper, so a helper checks before each claim that its sweep is still its
+    parent).  A point whose solve raises gets the status -1 and the loop
+    goes on."""
     while alive() and (claim := os.read(claims, 4)):
         i = int.from_bytes(claim, "little")
         try:

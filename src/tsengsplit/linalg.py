@@ -137,23 +137,3 @@ def uniform_matrix(rng: RngStream, rows: int, cols: int, lo: float, hi: float) -
         bad = (m <= lo) | (m >= hi)
     return m
 
-
-def spectral_norm_estimate(m: Matrix) -> float:
-    """Largest-singular-value estimate of ``m`` by 100 power iterations.
-
-    Deterministic start vector; the result is an estimate (typically a
-    slight underestimate), not a certified bound.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatchError("spectral_norm_estimate expects a matrix")
-    v = np.ones(m.shape[1])
-    v[:: 2] += 0.5  # break symmetry against alternating-sign top vectors
-    v /= np.linalg.norm(v)
-    for _ in range(100):
-        w = m.T @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(m @ v))

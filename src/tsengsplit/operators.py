@@ -33,7 +33,6 @@ from .linalg import (
     Vector,
     aligned_matrix,
     inner,
-    spectral_norm_estimate,
 )
 
 
@@ -96,11 +95,16 @@ class Resolvent:
 def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
     """Affine map ``x -> M x + q``, evaluated as ``M x`` when ``q`` is zero.
 
-    The Lipschitz field is a spectral-norm estimate of ``M`` (100 power
-    iterations); the strong-monotonicity modulus is the clipped smallest
-    eigenvalue of the symmetric part.  Both are computed on first read.
+    The Lipschitz field is the spectral norm of ``M``, its largest singular
+    value by LAPACK's SVD (``np.linalg.norm(M, 2)``): correct to rounding of
+    order ``n * eps`` relative, either way, so not a certified upper bound.
+    The strong-monotonicity modulus is the smallest eigenvalue of the
+    symmetric part ``(M + M^T)/2`` by ``eigvalsh``, clipped at 0: its
+    rounding, either way, is of order ``n * eps`` times that part's norm,
+    not times the modulus, so a map that is not strongly monotone may read
+    a small positive modulus.  Both are computed on first read.
     ``M`` is kept as given when it is C-contiguous on a 64-byte boundary,
-    else as one aligned copy; the map and both estimates read that array.
+    else as one aligned copy; the map and both values use that array.
     """
     m_mat = aligned_matrix(m_mat)
     q = np.asarray(q, dtype=np.float64)
@@ -112,7 +116,7 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
         # adding a zero q could only turn a -0.0 into 0.0
         fn=(lambda x: m_mat @ x + q) if q.any() else m_mat.__matmul__,
         estimators={
-            "lipschitz": lambda: spectral_norm_estimate(m_mat),
+            "lipschitz": lambda: float(np.linalg.norm(m_mat, 2)),
             "strong_monotone_modulus": lambda: max(0.0, float(np.linalg.eigvalsh(0.5 * (m_mat + m_mat.T))[0])),
         },
     )
@@ -121,10 +125,11 @@ def affine_forward(m_mat: Matrix, q: Vector) -> ForwardOperator:
 def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
     """Gradient ``x -> A^T (A x - y)`` of the least-squares loss ``0.5*||Ax - y||^2``.
 
-    The Lipschitz field, the squared spectral-norm estimate of ``A`` (100
-    power iterations), is computed on first read.  ``A`` is kept as given
+    The Lipschitz field, the squared spectral norm of ``A`` by LAPACK's SVD
+    (``np.linalg.norm(A, 2) ** 2``, correct to rounding as in
+    :func:`affine_forward`), is computed on first read.  ``A`` is kept as given
     when it is C-contiguous on a 64-byte boundary, else as one aligned copy;
-    the map and the estimate read that array.
+    the map and the norm use that array.
     """
     a_mat = aligned_matrix(a_mat)
     y = np.asarray(y, dtype=np.float64)
@@ -134,7 +139,7 @@ def least_squares_gradient(a_mat: Matrix, y: Vector) -> ForwardOperator:
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({a_mat.shape[0]},)")
     return ForwardOperator(
         fn=lambda x: a_mat.T @ (a_mat @ x - y),
-        estimators={"lipschitz": lambda: spectral_norm_estimate(a_mat) ** 2},
+        estimators={"lipschitz": lambda: float(np.linalg.norm(a_mat, 2)) ** 2},
     )
 
 

@@ -194,9 +194,6 @@ class SolverTrace:
         i = TRACE_COLUMNS.index(name)
         return np.array([r[i] for r in self.rows], dtype=float)
 
-    def lambdas(self) -> np.ndarray:
-        return self.column("lambda")
-
     def tie_break_fraction(self) -> float:
         return self.tie_breaks / len(self.rows) if self.rows else 0.0
 

@@ -55,7 +55,7 @@ def run(problem, schedules, max_iters, tol, stop_rule="step_diff", record=True, 
 
 
 def _check_lambda_interval(trace, sched, l_true):
-    lams = trace.lambdas()
+    lams = trace.column("lambda")
     lower = min(sched.mu / l_true, sched.lambda1)
     partial = np.cumsum([sched.p_seq.at(n) for n in range(1, len(lams) + 1)])
     uppers = sched.lambda1 + np.concatenate([[0.0], partial[:-1]])

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -583,6 +584,59 @@ def test_sweep_on_several_cpus_matches_the_serial_sweep(cpus, wide_sweep, tmp_pa
     rc, summary, trends, solved_here = run_sweep(cfg, tmp_path / "wide", monkeypatch, cpus, parent_delay_s=0.5)
     assert (rc, summary, trends) == tuple(serial)
     assert len(solved_here) < 6  # helpers solved some points
+
+
+# 1,100 points of 5 iterations: about 0.2 s of claims, past the claim file's first 4 KiB, that every process reads
+MANY_POINTS = {"axes": [{"param": "theta", "values": [(k + 1) / 1100 for k in range(1100)]}]}
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_each_point_is_claimed_and_solved_exactly_once(cpus, tmp_path, monkeypatch):
+    # a lost or doubled claim still gives the serial rows, since the sweep solves
+    # a point no process stored itself: the log shows each solve and each store
+    cfg = orthant_config(tmp_path, solver={"max_iters": 5}, sweep=MANY_POINTS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", no_fork)
+        serial = run_sweep(cfg, tmp_path / "serial", mp, cpus=1)[:3]
+    index = {point["theta"]: i for i, point in enumerate(cli._grid_points(cli.load_config(cfg).sweep_axes))}
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_APPEND | os.O_CREAT)  # shared by the helpers
+    real_row, real_store = cli._sweep_row, cli._store_row
+
+    def logged_row(problem, solver_cfg, point):
+        os.write(log, f"solved {os.getpid()} {index[point['theta']]}\n".encode())
+        return real_row(problem, solver_cfg, point)
+
+    def logged_store(table, i, row):
+        os.write(log, f"stored {os.getpid()} {i}\n".encode())
+        real_store(table, i, row)
+
+    monkeypatch.setattr(cli, "_sweep_row", logged_row)
+    monkeypatch.setattr(cli, "_store_row", logged_store)
+    try:
+        wide = run_sweep(cfg, tmp_path / "wide", monkeypatch, cpus)[:3]
+    finally:
+        os.close(log)
+    assert wide == serial
+    entries = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+    for kind in ("solved", "stored"):
+        assert sorted(int(i) for k, _, i in entries if k == kind) == list(range(len(index)))
+    assert len({pid for _, pid, _ in entries}) > 1  # helpers took claims
+
+
+def test_a_claim_file_that_cannot_be_made_exits_2(tmp_path, monkeypatch, capsys):
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = orthant_config(tmp_path, sweep={"axes": [{"param": "theta", "values": [0.3, 0.6]}]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: cannot write the sweep's claims: OSError: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == []
 
 
 def test_grid_of_one_point_starts_no_helper(tmp_path, monkeypatch):

@@ -396,7 +396,7 @@ def test_step_stays_in_the_lemma_interval(sched, seed, m, rho):
     except DivergenceError as err:
         trace = err.trace
         assert trace.status == "diverged"
-    lams = trace.lambdas()
+    lams = trace.column("lambda")
     # lambda_n lies in [min(mu/L, lambda1), lambda1 + sum_{k<n} p_k]
     lower = min(sched.mu / prob.forward.lipschitz, sched.lambda1)
     grown = np.cumsum([sched.lambda1] + [sched.p_seq.at(k) for k in range(1, len(lams))])

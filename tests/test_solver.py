@@ -253,7 +253,7 @@ def test_step_sizes_respect_theoretical_interval():
     sched = flat_schedule(alpha=0.3, theta=0.5, lambda1=0.5, p=inverse_square())
     cfg = SolverConfig(schedules=sched, max_iters=1500, tol=1e-30)
     _, trace = solve(prob, cfg)
-    lams = trace.lambdas()
+    lams = trace.column("lambda")
     lower = min(sched.mu / prob.forward.lipschitz, sched.lambda1)
     p_partial = np.cumsum([sched.p_seq.at(n) for n in range(1, len(lams) + 1)])
     uppers = sched.lambda1 + np.concatenate([[0.0], p_partial[:-1]])
@@ -266,7 +266,7 @@ def test_step_sizes_converge():
     sched = flat_schedule(alpha=0.3, theta=0.5, lambda1=0.5, p=inverse_square(), mu_seq=inverse_square())
     cfg = SolverConfig(schedules=sched, max_iters=1200, tol=1e-30)
     _, trace = solve(prob, cfg)
-    tail = trace.lambdas()[-100:]
+    tail = trace.column("lambda")[-100:]
     tail_p = sum(sched.p_seq.at(n) for n in range(len(trace) - 99, len(trace) + 1))
     assert tail.max() - tail.min() <= 1e-6 * sched.lambda1 + tail_p
 
@@ -339,7 +339,7 @@ def test_tie_branch_counted_and_grows_step():
     cfg = SolverConfig(schedules=sched, max_iters=8, tol=1e-30)
     _, trace = solve(prob, cfg)
     assert trace.tie_breaks == len(trace)
-    lams = trace.lambdas()
+    lams = trace.column("lambda")
     partial = np.cumsum([sched.p_seq.at(n) for n in range(1, len(lams))])
     assert np.allclose(lams[1:], sched.lambda1 + partial)
 
