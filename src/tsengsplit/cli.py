@@ -69,7 +69,7 @@ from .solver import (
 
 CONFIG_VERSION = 1
 OUT_DIR_ENV = "TSENGSPLIT_OUT"
-SWEEP_HEADER = "sweep_key,sweep_value,iters,status,final_metric,elapsed_s"
+SWEEP_HEADER = "sweep_key,sweep_value,iterations,status,final_metric,elapsed_s"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -321,6 +321,18 @@ def _apply_cli_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+def _timed_solve(problem: Problem, solver_cfg: SolverConfig):
+    """``(x, trace, error, seconds)`` of one solve; a diverged solve gives
+    no ``x``, its :class:`DivergenceError` and the partial trace it holds."""
+    t0 = time.perf_counter()
+    x = error = None
+    try:
+        x, trace = solve(problem, solver_cfg)
+    except DivergenceError as err:
+        trace, error = err.trace, err
+    return x, trace, error, time.perf_counter() - t0
+
+
 def cmd_solve(args) -> int:
     cfg = _apply_cli_overrides(load_config(args.config), args)
     out = _out_dir(args.out)
@@ -330,38 +342,23 @@ def cmd_solve(args) -> int:
         print("warning: schedule failed validation (run continues)", file=sys.stderr)
 
     _write(out / "validation.json", json.dumps(validation, indent=2) + "\n")
-    run_info = {
-        "seed": cfg.seed,
-        "problem": problem.label,
-        "schedules": cfg.solver.schedules.label or cfg.solver.schedules.to_dict(),
-    }
 
-    t0 = time.perf_counter()
-    try:
-        x, trace = solve(problem, cfg.solver)
-    except DivergenceError as err:
-        print(f"divergence: {err}", file=sys.stderr)
-        trace = err.trace
-        summary = trace.summary()
-        summary.update(
-            error=str(err),
-            last_row=trace.row(-1) if trace.rows else None,
-            elapsed_s=time.perf_counter() - t0,
-            **run_info,
-        )
+    x, trace, error, elapsed = _timed_solve(problem, cfg.solver)
+    summary = trace.summary()
+    schedules = cfg.solver.schedules
+    summary.update(elapsed_s=elapsed, seed=cfg.seed, schedules=schedules.label or schedules.to_dict())
+    if error is not None:
+        print(f"divergence: {error}", file=sys.stderr)
+        summary.update(error=str(error), last_row=trace.row(-1) if trace.rows else None)
     else:
-        elapsed = time.perf_counter() - t0
         with _config_boundary("cannot write output"):
             write_trace_csv(trace, out / "trace.csv")
             write_trace_jsonl(trace, out / "trace.jsonl")
-        summary = trace.summary()
-        summary.update(elapsed_s=elapsed, **run_info, solution_norm=norm(x, problem.weights))
+        summary["solution_norm"] = norm(x, problem.weights)
         if problem.known_solution is not None:
             summary["dist_to_solution"] = norm(x - problem.known_solution, problem.weights)
-        if trace.tie_break_fraction() > 0.01:
-            summary["tie_break_warning"] = (
-                "degenerate step-update branch hit on more than 1% of iterations"
-            )
+        if summary["tie_break_fraction"] > 0.01:
+            summary["tie_break_warning"] = "degenerate step-update branch hit on more than 1% of iterations"
         if not args.quiet:
             print(json.dumps(summary, indent=2))
     _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
@@ -379,17 +376,13 @@ def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, floa
     """The row of one grid point, solved on ``problem``; a row holds no
     distance to the solution, so none is recorded."""
     run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point), record_distance=False)
-    t0 = time.perf_counter()
-    try:
-        _, trace = solve(problem, run_cfg)
-    except DivergenceError as err:
-        trace = err.trace
-    elapsed = time.perf_counter() - t0
+    _, trace, _, elapsed = _timed_solve(problem, run_cfg)
+    summary = trace.summary()
     return {
         "point": point,
-        "iters": len(trace),
-        "status": trace.status,
-        "final_metric": trace.row(-1)["E_n"] if trace.rows else float("nan"),
+        "iterations": summary["iterations"],
+        "status": summary["status"],
+        "final_metric": summary["final_metric"] if trace.rows else float("nan"),
         "elapsed_s": elapsed,
     }
 
@@ -409,9 +402,7 @@ def cmd_sweep(args) -> int:
     lines = [SWEEP_HEADER]
     for r in rows:
         value = ";".join(repr(r["point"][ax.param]) for ax in cfg.sweep_axes)
-        lines.append(
-            f"{key},{value},{r['iters']},{r['status']},{r['final_metric']!r},{r['elapsed_s']:.6f}"
-        )
+        lines.append(f"{key},{value},{r['iterations']},{r['status']},{r['final_metric']!r},{r['elapsed_s']:.6f}")
     _write(out / "sweep_summary.csv", "\n".join(lines) + "\n")
 
     trends = _trend_verdicts(cfg.sweep_axes, rows)
@@ -421,7 +412,7 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-ROW_FIELDS = 4  # a sweep row as doubles: iters, final_metric, elapsed_s, 1 + status index (0: missing, -1: raised)
+ROW_FIELDS = 4  # a sweep row as doubles: iterations, final_metric, elapsed_s, 1 + status index (0: missing, -1: raised)
 STATUSES = tuple(EXIT_BY_STATUS)
 
 
@@ -480,7 +471,7 @@ def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: 
                 os.waitpid(pid, 0)
     stored = [table[ROW_FIELDS * i : ROW_FIELDS * (i + 1)] for i in range(len(points))]
     return [
-        {"point": point, "iters": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
+        {"point": point, "iterations": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
         if s > 0
         else _sweep_row(problem, cfg.solver, point)  # missing or raised: solved here, so a raise surfaces in grid order
         for point, (n, m, e, s) in zip(points, stored)
@@ -490,7 +481,7 @@ def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: 
 def _store_row(table, i: int, row: dict) -> None:
     """Put ``row`` at grid index ``i`` of the table, its status last: a row counts once it is set."""
     at = ROW_FIELDS * i
-    table[at], table[at + 1], table[at + 2] = row["iters"], row["final_metric"], row["elapsed_s"]
+    table[at], table[at + 1], table[at + 2] = row["iterations"], row["final_metric"], row["elapsed_s"]
     table[at + 3] = STATUSES.index(row["status"]) + 1
 
 
@@ -525,7 +516,7 @@ def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
         groups: dict[tuple, list[tuple[float, int]]] = {}
         for r in finished:
             gkey = tuple(r["point"][o.param] for o in others)
-            groups.setdefault(gkey, []).append((r["point"][ax.param], r["iters"]))
+            groups.setdefault(gkey, []).append((r["point"][ax.param], r["iterations"]))
         violations = 0
         comparisons = 0
         for series in groups.values():

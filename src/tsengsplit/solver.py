@@ -194,9 +194,6 @@ class SolverTrace:
         i = TRACE_COLUMNS.index(name)
         return np.array([r[i] for r in self.rows], dtype=float)
 
-    def tie_break_fraction(self) -> float:
-        return self.tie_breaks / len(self.rows) if self.rows else 0.0
-
     def summary(self) -> dict:
         last = self.row(-1) if self.rows else {}
         return {
@@ -207,7 +204,7 @@ class SolverTrace:
             "forward_evals": self.forward_evals,
             "resolvent_evals": self.resolvent_evals,
             "tie_breaks": self.tie_breaks,
-            "tie_break_fraction": self.tie_break_fraction(),
+            "tie_break_fraction": self.tie_breaks / len(self.rows) if self.rows else 0.0,
             "label": self.label,
         }
 

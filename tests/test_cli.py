@@ -88,7 +88,7 @@ def test_sweep_summary_and_trends(sweep_config, tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", sweep_config, "--out", str(out), "--quiet"]) == 0
     lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
-    assert lines[0] == "sweep_key,sweep_value,iters,status,final_metric,elapsed_s"
+    assert lines[0] == "sweep_key,sweep_value,iterations,status,final_metric,elapsed_s"
     assert len(lines) == 1 + 3  # one row per grid point
     stats = [ln.split(",") for ln in lines[1:]]
     assert all(s[3] == "tolerance_met" for s in stats)
@@ -99,7 +99,7 @@ def test_sweep_summary_and_trends(sweep_config, tmp_path):
 
 
 def test_single_point_sweep_matches_solve(sweep_config, tmp_path):
-    cfg = json.loads(open(sweep_config).read())
+    cfg = json.loads(Path(sweep_config).read_text())
     cfg["sweep"] = {"axes": [{"param": "theta", "values": [0.45]}]}
     single = write_config(tmp_path, "single.json", cfg)
     out = tmp_path / "single_out"
@@ -114,6 +114,8 @@ def test_single_point_sweep_matches_solve(sweep_config, tmp_path):
     trace = read_trace_csv(out2 / "trace.csv")
     assert int(row[2]) == len(trace)
     assert float(row[4]) == trace.row(-1)["E_n"]
+    summary = json.loads((out2 / "summary.json").read_text())
+    assert (int(row[2]), row[3], float(row[4])) == (summary["iterations"], summary["status"], summary["final_metric"])
 
 
 def test_validate_prints_strong_report_for_strong_problem(capsys):
@@ -482,7 +484,7 @@ def test_diverged_solve_leaves_summary_and_validation(case, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "diverged"
     assert "not finite" in summary["error"]
-    assert summary["problem"] == "oracle_orthant(m=2)" and summary["seed"] == 1
+    assert summary["label"] == "oracle_orthant(m=2)" and summary["seed"] == 1
     last = summary["last_row"]
     if case == "huge_step":
         assert last is None
@@ -494,7 +496,7 @@ def test_diverged_solve_leaves_summary_and_validation(case, tmp_path):
     # the failing iteration's forward and resolvent calls are counted too
     assert summary["resolvent_evals"] == summary["iterations"] + 1
     assert summary["forward_evals"] - 2 * summary["iterations"] in (1, 2)
-    assert summary["label"] == summary["problem"]
+    assert "problem" not in summary
     validation = json.loads((out / "validation.json").read_text())
     assert "c3" in validation
     assert not (out / "trace.csv").exists()

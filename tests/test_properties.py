@@ -7,7 +7,8 @@ that passes the weak-regime validator keeps the descent inequality and
 does not diverge, every set the strong-regime search returns converges
 linearly within its contraction factor, and the exact weak-regime
 clauses agree with dense evaluation of the sequences, as the sampled
-clause (iv) does on the indices it samples."""
+clause (iv) does on the indices it samples, and a solve's summary.json
+agrees with the trace files it writes."""
 
 import contextlib
 import functools
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from contract_cases import BASES, edited
 from tsengsplit import (
     TRACE_COLUMNS,
     DivergenceError,
@@ -231,6 +233,61 @@ def test_fuzzed_config_keeps_the_exit_code_contract(family, preset, edits):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)  # a traceback fails the test
     assert code in (0, 1, 2, 3)
+
+
+# --- run artifacts agree with the trace --------------------------------------
+
+# constant schedules: an inertia far above 1, or a huge step with a huge p_n, diverges within the budget
+ARTIFACT_SCHEDULES = st.fixed_dictionaries(
+    {"alpha": st.floats(0.0, 60.0), "beta": st.floats(0.0, 1.0), "theta": st.floats(0.0, 1.0)},
+    optional={"p_seq": st.sampled_from([0.0, 1e-3, 1e300])},
+).map(lambda values: {key: {"kind": "constant", "value": v} for key, v in values.items()})
+ARTIFACT_STEPS = st.fixed_dictionaries(
+    {}, optional={"mu": st.floats(0.05, 0.95), "lambda1": st.sampled_from([0.05, 0.3, 1e200])}
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.sampled_from(["orthant", "oracle_strong_linear"]),
+    schedules=ARTIFACT_SCHEDULES,
+    steps=ARTIFACT_STEPS,
+    budget=st.integers(1, 200),
+)
+# one run of each outcome: finished, diverged after some rows, diverged before the first
+@example(base="orthant", schedules={}, steps={}, budget=200)
+@example(base="orthant", schedules={"alpha": {"kind": "constant", "value": 50.0}}, steps={}, budget=200)
+@example(
+    base="orthant", schedules={"p_seq": {"kind": "constant", "value": 1e300}}, steps={"lambda1": 1e200}, budget=200
+)
+def test_summary_agrees_with_the_trace_files(base, schedules, steps, budget):
+    cfg = edited(BASES[base], {"schedules": {**schedules, **steps}})
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "--config", str(path), "--out", str(out), "--max-iters", str(budget), "--quiet"])
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        if code == 3:
+            assert not (out / "trace.csv").exists()
+            last = summary["last_row"]
+            assert summary["iterations"] == (last["n"] if last else 0)
+            assert summary["final_metric"] == (last["E_n"] if last else None)
+        else:
+            assert code in (0, 1)
+            trace = read_trace_csv(out / "trace.csv")
+            t, last = len(trace), trace.row(-1)
+            assert summary["iterations"] == t == summary["resolvent_evals"]
+            assert summary["forward_evals"] == 2 * t - (summary["status"] == "exact_solution")
+            assert (summary["final_metric"], summary["final_residual"]) == (last["E_n"], last["residual"])
+            footer = (trace.status, trace.forward_evals, trace.resolvent_evals, trace.tie_breaks)
+            counters = ("status", "forward_evals", "resolvent_evals", "tie_breaks")
+            assert footer == tuple(summary[key] for key in counters)
+            # the trace.jsonl summary line is the record summary.json starts from
+            record = json.loads((out / "trace.jsonl").read_text(encoding="utf-8").splitlines()[-1])
+            assert record == {key: summary[key] for key in record}
+    # the problem's label is written once, as ``label``
+    assert "problem" not in summary and list(summary.values()).count(summary["label"]) == 1
 
 
 # --- fuzzed trace text ---------------------------------------------------------
