@@ -24,6 +24,20 @@ bookkeeping: the two extrapolations, the blend, the step rule and one
 schedule term per sequence, read from :meth:`SequenceSpec.terms` (a
 constant costs no call).
 
+The six vector products, ``alpha_n*step``, ``beta_n*step``, ``lam*A(w)``,
+``lam*(A(y) - A(w))``, ``(1 - theta_n)*z`` and ``theta_n*corrected``, take
+their coefficients from five 0-d float64 arrays that each call allocates
+and rewrites in place every iteration.  NumPy 2 converts a Python float
+operand on every ufunc call and takes a 0-d array as it is, so each product
+runs the same float64 multiply on the same values with less dispatch.
+That rests on the kernel's vectors being float64, as the initial points
+(:func:`as_vector`) and the built-in maps are: under NumPy 2's promotion
+rules a 0-d float64 operand widens a float32 vector that a Python float
+leaves float32, so a custom map returning float32 has its products taken
+in float64.  Every other scalar stays a Python float: the schedule terms,
+the step rule, the tie and exact-stop tests and the ``lam`` passed to the
+resolvent.
+
 Non-finite values are found by as few numpy calls as the order of the
 checks allows.  ``A(w)`` is checked, by one dot product with a zero
 vector, before ``A(y)`` is evaluated.  ``y`` and ``x_{n+1}`` are not
@@ -36,9 +50,9 @@ counters are those of a check made right after each value.
 
 :func:`solve` is the one iteration loop.  A run is strictly sequential;
 concurrent runs may share problems and schedules because those are
-immutable.  Parallelism lives above it: the CLI's ``sweep`` solves grid
-points in separate processes, each calling :func:`solve` on its own copy
-of the instance.
+immutable, and each run's coefficient arrays are its own.  Parallelism
+lives above it: the CLI's ``sweep`` solves grid points in separate
+processes, each calling :func:`solve` on its own copy of the instance.
 
 Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
 place the trace schema is written down; the CSV/JSONL writers, the reader,
@@ -98,7 +112,7 @@ class DescentViolationError(SolverError):
     """The per-iteration descent inequality failed while being asserted."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A monotone inclusion instance the solver can run on.
 
@@ -127,7 +141,7 @@ class Problem:
                 v = as_vector(v, name=name)
                 if v.shape != (self.dimension,):
                     raise ValueError(f"{name} has shape {v.shape}, expected ({self.dimension},)")
-                setattr(self, name, v)
+                object.__setattr__(self, name, v)  # frozen: the one write, at construction
         if self.weights is not None and not (self.weights > 0).all():
             raise ValueError("weights must be strictly positive")
         if self.known_solution is not None:
@@ -214,26 +228,18 @@ NONFINITE_OPERATOR = "non-finite operator value at iteration {n}"
 NONFINITE_ITERATE = "non-finite iterate or step size (next lambda {lam_next!r}) at iteration {n}"
 
 
-def solve(
-    problem: Problem,
-    config: SolverConfig,
-    x0: Vector | None = None,
-    x1: Vector | None = None,
-) -> tuple[Vector, SolverTrace]:
-    """Iterate until the stop metric reaches ``tol``, an exact solution is
-    found, or the iteration budget runs out.
+def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
+    """Iterate from ``problem``'s initial points until the stop metric
+    reaches ``tol``, an exact solution is found, or the iteration budget
+    runs out.
 
     Returns the final iterate and the full trace.  Deterministic: the same
-    problem, config, and initial points give bit-identical traces.
+    problem and config give bit-identical traces.
     Non-finite values raise :class:`DivergenceError` carrying the partial
     trace; numpy's overflow warnings are silenced because every value
     that could carry one is checked, explicitly or by a norm taken of it.
     """
-    px0, px1 = problem.initial_points()
-    x_prev = as_vector(x0, name="x0") if x0 is not None else px0
-    x_curr = as_vector(x1, name="x1") if x1 is not None else px1
-    if x_curr.shape != x_prev.shape:
-        raise ValueError(f"dimension mismatch: {x_curr.shape} vs {x_prev.shape}")
+    x_prev, x_curr = problem.initial_points()
     sched = config.schedules
     terms = zip(
         range(1, config.max_iters + 1),
@@ -253,6 +259,8 @@ def solve(
     # for finite v_i and NaN otherwise, and no sum of zeros overflows
     zeros = np.zeros(x_curr.shape)
     isnan, inf = math.isnan, math.inf
+    # the six vector products' coefficients, rewritten in place (module docstring)
+    c_alpha, c_beta, c_lam, c_keep, c_theta = (np.zeros(()) for _ in range(5))
     trace = SolverTrace(label=problem.label)
     rows = trace.rows
     forward_evals = resolvent_evals = tie_breaks = 0
@@ -263,11 +271,12 @@ def solve(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for n, alpha_n, beta_n, theta_n, mu_n, p_n in terms:
+                c_alpha[()], c_beta[()], c_lam[()] = alpha_n, beta_n, lam
                 step = x_curr - x_prev
-                w = x_curr + alpha_n * step
-                z = x_curr + beta_n * step
+                w = x_curr + c_alpha * step
+                z = x_curr + c_beta * step
                 aw = forward(w)
-                y = backward(w - lam * aw, lam)
+                y = backward(w - c_lam * aw, lam)
                 forward_evals += 1
                 resolvent_evals += 1
                 # A(w) before A(y) is evaluated; a non-finite y fails the residual norm
@@ -289,8 +298,9 @@ def solve(
                         tie_breaks += 1  # the forward values coincide: no ratio to take
                     else:
                         lam_next = min((mu + mu_n) * residual / da, lam_next)
-                    corrected = y - lam * d_a
-                    x_next = (1.0 - theta_n) * z + theta_n * corrected
+                    corrected = y - c_lam * d_a
+                    c_keep[()], c_theta[()] = 1.0 - theta_n, theta_n
+                    x_next = c_keep * z + c_theta * corrected
                     if not 0.0 < lam_next < inf or (check_next and isnan(x_next.dot(zeros))):
                         raise DivergenceError(NONFINITE_ITERATE.format(lam_next=lam_next, n=n), trace)
                     if check_descent:

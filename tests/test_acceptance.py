@@ -312,7 +312,7 @@ def test_criterion_09_exact_stop():
     for prob in problems:
         xs = prob.known_solution
         cfg = ts.SolverConfig(schedules=ts.preset("paper_default"), max_iters=100, tol=1e-9)
-        x, tr = ts.solve(prob, cfg, x0=xs, x1=xs)
+        x, tr = ts.solve(replace(prob, x0=xs, x1=xs), cfg)
         ok = ok and tr.status == "exact_solution" and len(tr) == 1
         ok = ok and np.allclose(x, xs)
     report(9, "exact-solution stop at n = 1 from the solution", ok)

@@ -20,6 +20,11 @@ from tsengsplit import linalg
 from tsengsplit.linalg import DimensionMismatchError, aligned_matrix
 
 
+def same_bits(got, want):
+    """Equal as float64 bit patterns: ``-0.0`` differs from ``0.0``, and NaNs compare by payload."""
+    return got.dtype == want.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # --- affine forward -------------------------------------------------------
 
 
@@ -43,7 +48,7 @@ def test_affine_forward_is_m_x_plus_q(q_kind):
     special = [[0.0, -0.0, np.inf, 0.0, -0.0, 1.0], [-np.inf, -0.0, 0.0, 2.0, 0.0, -0.0], [np.nan, 0.0, 1.0, -0.0, 0.0, 0.0]]
     for x in (gen.standard_normal(6), np.zeros(6), -np.zeros(6), *map(np.array, special)):
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(op(x), m_mat @ x + q, equal_nan=True)
+            assert same_bits(op(x), m_mat @ x + q if q_kind == "nonzero" else m_mat @ x)
 
 
 def test_affine_dimension_mismatch():
@@ -164,7 +169,8 @@ def _matrix_operators(gen, mat):
     return ops
 
 
-@pytest.mark.parametrize("shape", [(256, 512), (50, 50)])
+# a matrix map on a one-entry vector must not take it for a scalar: (1, 1) holds the affine maps to it
+@pytest.mark.parametrize("shape", [(256, 512), (50, 50), (1, 1), (3, 5), (4, 1), (1, 4)])
 @pytest.mark.parametrize("offset", [8, 16, 32, 48])
 def test_misaligned_matrix_is_copied_once_and_left_untouched(monkeypatch, shape, offset):
     gen = np.random.default_rng(offset)
@@ -180,9 +186,10 @@ def test_misaligned_matrix_is_copied_once_and_left_untouched(monkeypatch, shape,
         kept = forward_matrix(op)
         assert kept.flags.c_contiguous and kept.ctypes.data % 64 == 0
         assert not np.shares_memory(kept, mat)
-        for _ in range(3):
-            x = gen.standard_normal(shape[1])
-            assert np.array_equal(op(x), reference(x))  # the reference reads the misaligned array
+        n = shape[1]
+        for x in (gen.standard_normal(n), np.zeros(n), -np.zeros(n), np.resize([-0.0, np.inf, -np.inf, np.nan, 1.5], n)):
+            with np.errstate(invalid="ignore"):
+                assert same_bits(op(x), reference(x))  # the reference reads the misaligned array
     assert mat.ctypes.data == address and np.array_equal(mat, values)
 
 
@@ -218,6 +225,18 @@ def test_max_zero_nonexpansive_sweep():
     for _ in range(1000):
         x, y = g.standard_normal(15), g.standard_normal(15)
         assert norm(op(x) - op(y)) <= norm(x - y) + 1e-15
+
+
+def test_positive_parts_are_their_formulas_bit_for_bit():
+    lam, rho = 0.37, 1.3
+    t = lam * rho
+    x = np.array([0.0, -0.0, t, -t, 0.5 * t, -np.nextafter(t, 0.0), np.inf, -np.inf, np.nan, 2.0, -3.0])
+    positive_part = np.maximum(x, 0.0)
+    assert same_bits(pointwise_max_zero()(x), positive_part)
+    assert same_bits(orthant_resolvent()(x, lam), positive_part)
+    with np.errstate(invalid="ignore"):
+        shrunk = soft_threshold_resolvent(rho)(x, lam)
+        assert same_bits(shrunk, np.sign(x) * np.maximum(np.abs(x) - lam * rho, 0.0))
 
 
 # --- shrinkage resolvent -----------------------------------------------------

@@ -1,5 +1,8 @@
 import math
-from dataclasses import replace
+import sys
+import threading
+import time
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -105,14 +108,14 @@ def test_solve_hand_computed_first_two_steps():
     # step 1: y = 1 - 0.25*2 = 0.5, x = (1 + (0.5 + 0.25*1))/2 = 0.875,
     #         lambda = min(0.9*0.5/1, 0.25) = 0.25;
     # step 2: y = 0.4375, x = (0.875 + (0.4375 + 0.25*0.875))/2 = 0.765625
-    prob = scalar_doubling_problem()
-    sched = flat_schedule(theta=0.5, lambda1=0.25)
     one = np.array([1.0])
-    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=1, tol=1e-30), x0=one, x1=one)
+    prob = replace(scalar_doubling_problem(), x0=one, x1=one)
+    sched = flat_schedule(theta=0.5, lambda1=0.25)
+    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=1, tol=1e-30))
     assert x[0] == pytest.approx(0.875, abs=1e-15)
     assert [r[:3] for r in trace.rows] == [(1, 0.25, 0.5)]
     assert trace.status == "max_iters"
-    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=2, tol=1e-30), x0=one, x1=one)
+    x, trace = solve(prob, SolverConfig(schedules=sched, max_iters=2, tol=1e-30))
     assert x[0] == pytest.approx(0.765625, abs=1e-15)
     assert [r[:2] for r in trace.rows] == [(1, 0.25), (2, 0.25)]
     assert trace.row(1)["residual"] == pytest.approx(0.4375, abs=1e-15)
@@ -352,6 +355,53 @@ def test_problem_rejects_wrong_known_solution():
             dimension=2,
             known_solution=np.array([5.0, 5.0]),
         )
+
+
+def test_problem_is_frozen_so_its_shape_checks_hold():
+    # solve takes its initial points from the problem unchecked; a point of the wrong
+    # shape set after construction would fail deep in numpy
+    prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
+    with pytest.raises(FrozenInstanceError):
+        prob.x0 = np.zeros(3)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\), expected \(2,\)"):
+        replace(prob, x0=np.zeros(3))
+
+
+def test_concurrent_solves_keep_their_own_coefficient_arrays():
+    # the one 0-d array shared across calls, the positive parts' zero, cannot be written
+    with pytest.raises(ValueError, match="read-only"):
+        operators._ZERO[()] = 1.0
+    # each solve refreshes its own 0-d coefficients in place; threads switching every
+    # few opcodes on one problem would mix them up if they were shared
+    _, problem = gen_affine_vi(RngStream(23), m=20)
+    schedule_sets = (preset("paper_default"), flat_schedule(alpha=0.3, theta=0.7), flat_schedule(theta=0.9, lambda1=0.05))
+    configs = [SolverConfig(schedules=schedules, max_iters=150, tol=1e-30) for schedules in schedule_sets]
+    serial = [[row[:-1] for row in solve(problem, cfg)[1].rows] for cfg in configs]  # all but elapsed_ms
+    runs, mismatches = [0] * 4, []
+    deadline = time.monotonic() + 1.5
+
+    def worker(k):
+        cfg, want = configs[k % len(configs)], serial[k % len(configs)]
+        try:
+            while time.monotonic() < deadline:
+                if [row[:-1] for row in solve(problem, cfg)[1].rows] != want:
+                    mismatches.append(k)
+                runs[k] += 1
+        except Exception as err:  # a thread's error is lost unless recorded
+            mismatches.append(err)
+
+    threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [] and min(runs) >= 1
 
 
 # --- certificates -------------------------------------------------------------------
