@@ -10,8 +10,8 @@ as :class:`Resolvent` objects that ignore ``lam``.
 
 Operators are immutable after construction and evaluation is pure, so
 they are safe to share between concurrent solver runs.  Lipschitz and
-strong-monotonicity metadata are optional estimates used by validators
-and certificates only; the solver itself never needs them.
+strong-monotonicity metadata are optional, computed on first read and
+read by the validators only; the solver itself never needs them.
 
 A forward map that multiplies by a dense matrix keeps it C-contiguous and
 starting on a 64-byte boundary (``linalg.aligned_matrix``), so no vector
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -52,50 +53,31 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-class _Metadata:
-    """A metadata field of :class:`ForwardOperator` that may be estimated lazily.
-
-    A value given at construction is returned as is.  Left ``None``, the
-    field is computed on first read by the operator's ``estimators`` entry
-    of the same name, if any, and cached; without one it stays ``None``.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            return None  # the dataclass default
-        values = op.__dict__
-        if self.name not in values:
-            estimate = op.estimators.get(self.name)
-            values[self.name] = None if estimate is None else estimate()
-        return values[self.name]
-
-    def __set__(self, op, value):
-        # runs once, from the dataclass __init__; the frozen __setattr__
-        # rejects later assignments before they get here
-        if value is not None:
-            op.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class ForwardOperator:
     """Single-valued map with optional regularity metadata.
 
-    ``lipschitz`` and ``strong_monotone_modulus`` are declarations about
-    the map; leaving them ``None`` means "unknown", never "zero".  ``estimators`` maps either
-    field name to a callable that computes it on first read, so costly
-    estimates are only paid for by the validators that ask for them.
+    ``lipschitz`` and ``strong_monotone_modulus`` are cached properties:
+    each calls its ``estimators`` entry on first read, and reads ``None``
+    ("unknown", never "zero") without one.  A known value is an entry that
+    returns it, as in ``{"lipschitz": lambda: 1.0}``.  ``repr``, ``==``,
+    ``hash`` and ``dataclasses.replace`` see only ``fn``, so costly
+    estimates are paid for by the validators that read them and nothing else.
     """
 
     fn: Callable[[Vector], Vector]
-    lipschitz: float | None = _Metadata()
-    strong_monotone_modulus: float | None = _Metadata()
     estimators: Mapping[str, Callable[[], float]] = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, x: Vector) -> Vector:
         return self.fn(x)
+
+    @cached_property
+    def lipschitz(self) -> float | None:
+        return self.estimators.get("lipschitz", lambda: None)()
+
+    @cached_property
+    def strong_monotone_modulus(self) -> float | None:
+        return self.estimators.get("strong_monotone_modulus", lambda: None)()
 
 
 @dataclass(frozen=True)
@@ -165,7 +147,7 @@ def pointwise_max_zero() -> ForwardOperator:
 
     Not strongly monotone, so that modulus is deliberately left undeclared.
     """
-    return ForwardOperator(fn=lambda x: np.maximum(x, _ZERO), lipschitz=1.0)
+    return ForwardOperator(fn=lambda x: np.maximum(x, _ZERO), estimators={"lipschitz": lambda: 1.0})
 
 
 def soft_threshold_resolvent(rho: float) -> Resolvent:

@@ -22,12 +22,13 @@ its instance exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Matrix, RngStream, Vector, aligned_empty, as_vector, uniform_matrix
 from .operators import (
+    ForwardOperator,
     affine_forward,
     hyperplane_resolvent,
     least_squares_gradient,
@@ -216,14 +217,12 @@ def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:
     upper = np.triu(rng.generator().uniform(-1.0, 1.0, (m, m)), k=1)
     skew = (upper - upper.T) / np.sqrt(m)
     s_norm = float(np.linalg.norm(skew, 2)) if m > 1 else 0.0
-    fwd_mat = rho * np.eye(m) + skew
-    forward = replace(
-        affine_forward(fwd_mat, np.zeros(m)),
-        lipschitz=float(np.sqrt(rho**2 + s_norm**2)),
-        strong_monotone_modulus=float(rho),
-    )
+    lipschitz = float(np.sqrt(rho**2 + s_norm**2))
     return Problem(
-        forward=forward,
+        forward=ForwardOperator(
+            fn=affine_forward(rho * np.eye(m) + skew, np.zeros(m)).fn,
+            estimators={"lipschitz": lambda: lipschitz, "strong_monotone_modulus": lambda: float(rho)},
+        ),
         backward=orthant_resolvent(),
         dimension=m,
         known_solution=np.zeros(m),

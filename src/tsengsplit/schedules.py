@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from itertools import count, repeat
 from typing import Callable, Iterator
 
@@ -429,13 +430,31 @@ def contraction_factor(tau: float, alpha: float, beta: float, theta: float) -> f
     return (1.0 + beta) + theta * (tau * (1.0 + alpha) - (1.0 + beta))
 
 
+def _c3_holds(p: StrongParams) -> bool:
+    """Clause c3 in the reals, on the float inputs as exact rationals.
+
+    ``tau`` and both lower bounds are rational in the inputs.  Every theta
+    above the (positive) lower bound lies above the smaller root of
+    ``quad*t^2 + (1+b)*t + (b-1)``, so it is at most the larger root
+    exactly when that quadratic is not positive at theta.
+    """
+    L, r, mu, lam1, a, b, th = map(Fraction, (p.L, p.r, p.mu, p.lambda1, p.alpha_const, p.beta_const, p.theta_const))
+    tau = 1 - min(1 - mu, 2 * min(mu / L, lam1) * r) / 2
+    quad = 1 / tau - 1 - 2 * b
+    if not (quad > 0 and 1 + a - b > 0 and 1 + b - tau * (1 + a) > 0 and th <= 1):
+        return False
+    lower = max((1 - b) / (1 + a - b), b / (1 + b - tau * (1 + a)))
+    return lower < th and (quad * th + 1 + b) * th + b - 1 <= 0
+
+
 def validate_strong(p: StrongParams) -> StrongReport:
     """Check the constant-parameter conditions for linear convergence.
 
     Verdicts are computed by direct evaluation of the bounds; nothing is
-    presumed feasible.  The report carries the admissible relaxation
-    interval (clipped to (0, 1], possibly empty) and the contraction
-    factor at the supplied relaxation weight.
+    presumed feasible.  Clause c3 is decided in exact arithmetic; the
+    report carries the float admissible relaxation interval (clipped to
+    (0, 1], possibly empty) and the contraction factor at the supplied
+    relaxation weight.
     """
     tau, lam_hat = p.tau, p.lambda_hat
     a, b, th = p.alpha_const, p.beta_const, p.theta_const
@@ -462,13 +481,16 @@ def validate_strong(p: StrongParams) -> StrongReport:
         upper = min(upper_root, 1.0)
         if lower < upper:
             interval = (lower, upper)
-        ok3 = lower < th <= upper
+        in_floats = lower < th <= upper
         detail = f"admissible theta interval ({lower:.6g}, {upper:.6g}], theta = {th:.6g}"
         if interval is None:
             detail = f"empty theta interval: lower bound {lower:.6g} >= upper bound {upper:.6g}"
     else:
-        ok3 = False
+        in_floats = False
         detail = f"beta cap violated: 1/tau - 1 - 2*beta = {quad:.6g} <= 0"
+    ok3 = _c3_holds(p)
+    if ok3 != in_floats:  # the float bounds are rounded: say which side the reals put theta on
+        detail += f"; in exact arithmetic theta is {'' if ok3 else 'not '}admissible"
     clauses.append(ClauseResult("c3", ok3, None if ok3 else 1, detail))
 
     q = contraction_factor(tau, a, b, th)
@@ -486,8 +508,9 @@ def find_feasible_strong(
     """Grid-search for parameter sets passing :func:`validate_strong`.
 
     For each grid point, the midpoint and the upper end of the reported
-    admissible theta interval are tried.  Results are sorted by
-    contraction factor, best first.
+    admissible theta interval are tried, the upper end stepped down with
+    ``math.nextafter`` to the largest float c3 admits.  Results are sorted
+    by contraction factor, best first.
     """
     found: list[tuple[StrongParams, StrongReport]] = []
     for mu in mu_grid:
@@ -499,7 +522,12 @@ def find_feasible_strong(
                     if interval is None:
                         continue
                     lo, hi = interval
-                    for th in (0.5 * (lo + hi), hi):
+                    top = hi
+                    for _ in range(64):  # the float root lies ulps off: 20,000 random sets took at most 5 steps
+                        if _c3_holds(replace(probe, theta_const=top)):
+                            break
+                        top = math.nextafter(top, lo)
+                    for th in (0.5 * (lo + hi), top):
                         cand = StrongParams(L, r, mu, lam1, a, b, th)
                         rep = validate_strong(cand)
                         if rep.passed:

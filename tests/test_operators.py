@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tsengsplit import (
+    Problem,
     RngStream,
     affine_forward,
     gen_l2_vi,
@@ -77,7 +80,11 @@ def test_matrix_metadata_estimated_once_on_first_read(monkeypatch):
     m = uniform_matrix(RngStream(102), 6, 6, -5.0, 5.0)
     aff = affine_forward(m, np.zeros(6))
     lsq = least_squares_gradient(m[:4], np.ones(4))
-    assert calls == []  # construction estimates nothing
+    for op in (aff, lsq):
+        repr(op), hash(op)
+        assert op == op and dataclasses.replace(op, fn=op.fn) == op
+    repr(Problem(forward=lsq, backward=orthant_resolvent(), dimension=6))
+    assert calls == []  # construction, printing, comparing, hashing and replacing estimate nothing
     assert aff.lipschitz == float(real_norm(m, 2))
     assert aff.strong_monotone_modulus == max(0.0, float(real_eigvalsh(0.5 * (m + m.T))[0]))
     assert lsq.lipschitz == float(real_norm(m[:4], 2)) ** 2
@@ -144,8 +151,9 @@ def forward_matrix(op):
     fn = op.fn
     held = [fn.__self__] if hasattr(fn, "__self__") else [cell.cell_contents for cell in fn.__closure__]
     (mat,) = [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
-    for estimate in op.estimators.values():  # the estimates read that same array
-        assert any(cell.cell_contents is mat for cell in estimate.__closure__)
+    for estimate in op.estimators.values():  # an estimate that reads a matrix reads that same array
+        held = [cell.cell_contents for cell in estimate.__closure__]
+        assert all(v is mat for v in held if isinstance(v, np.ndarray))
     return mat
 
 

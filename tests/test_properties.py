@@ -5,7 +5,8 @@ documented exit codes, every schedule that constructs runs with its step
 inside the interval of the paper's step-size lemma, every schedule set
 that passes the weak-regime validator keeps the descent inequality and
 does not diverge, every set the strong-regime search returns converges
-linearly within its contraction factor, and the exact weak-regime
+linearly within its contraction factor, the strong-regime clause c3
+agrees with its exact rational evaluation, and the exact weak-regime
 clauses agree with dense evaluation of the sequences, as the sampled
 clause (iv) does on the indices it samples, and a solve's summary.json
 agrees with the trace files it writes."""
@@ -13,11 +14,13 @@ agrees with the trace files it writes."""
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import re
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,7 @@ from tsengsplit import (
     ScheduleSet,
     SolverConfig,
     SolverTrace,
+    StrongParams,
     beta_bound,
     certify_linear_rate,
     constant,
@@ -45,6 +49,7 @@ from tsengsplit import (
     read_trace_csv,
     solve,
     validate_c3,
+    validate_strong,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -533,6 +538,88 @@ def test_strong_regime_sets_converge_within_their_contraction_factor(seed, m, rh
         _, trace = solve(prob, SolverConfig(schedules=sched, max_iters=3000, tol=1e-11, record_distance=True))
         cert = certify_linear_rate(trace, q_bound=report.q)
         assert cert.passed and cert.details["within_q_bound"], (params, report.q, cert.details)
+
+
+# --- the strong regime's clause c3, decided in the reals -----------------------------
+
+
+def c3_in_fractions(p):
+    """Clause c3 on the float inputs as exact rationals: ``1/tau - 1 - 2b > 0`` and
+    ``lower < theta <= min(1, upper root)``, with no root taken: theta is at most the
+    larger root of ``quad*t^2 + (1+b)*t + (b-1)`` when the quadratic is not positive
+    there, or when theta lies left of its vertex."""
+    L, r, mu, lam1, a, b, th = map(Fraction, (p.L, p.r, p.mu, p.lambda1, p.alpha_const, p.beta_const, p.theta_const))
+    tau = 1 - min(1 - mu, 2 * min(mu / L, lam1) * r) / 2
+    quad, denom1, denom2 = 1 / tau - 1 - 2 * b, 1 + a - b, 1 + b - tau * (1 + a)
+    if not (quad > 0 and denom1 > 0 and denom2 > 0):
+        return False
+    below_upper_root = quad * th**2 + (1 + b) * th + b - 1 <= 0 or 2 * quad * th + 1 + b < 0
+    return max((1 - b) / denom1, b / denom2) < th <= 1 and below_upper_root
+
+
+@SETTINGS
+@given(
+    L=st.floats(0.1, 10.0),
+    r=st.floats(0.01, 10.0),
+    mu=st.floats(0.01, 0.99),
+    lambda1=st.floats(1e-3, 2.0),
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 0.5),
+    theta=st.floats(0.01, 1.0),
+    ulps_from_upper_end=st.none() | st.integers(-8, 8),
+)
+def test_strong_c3_agrees_with_fraction_evaluation(L, r, mu, lambda1, alpha, beta, theta, ulps_from_upper_end):
+    p = StrongParams(L, r, mu, lambda1, alpha, beta, theta)
+    if ulps_from_upper_end is not None:  # theta at the float upper end, where rounding decides
+        interval = validate_strong(p).theta_interval
+        assume(interval is not None)
+        theta = interval[1]
+        for _ in range(abs(ulps_from_upper_end)):
+            theta = math.nextafter(theta, math.copysign(math.inf, ulps_from_upper_end))
+        p = replace(p, theta_const=theta)
+    assert validate_strong(p).clause("c3").passed == c3_in_fractions(p)
+
+
+def test_strong_c3_agrees_with_fraction_evaluation_around_the_float_upper_ends():
+    # hypothesis draws round floats, whose bounds often round exactly; oracle_strong's L does not.
+    # On this grid the float upper root admitted 11 of the 36 sets the search returned.
+    grid = [[0.5, 0.7, 0.9], [0.1, 1.0], [0.05 * i for i in range(20)], [0.0, 0.01, 0.05, 0.1]]
+    ends = 0
+    for seed in range(6):
+        prob = gen_oracle_strong(RngStream(seed), m=4, rho=0.5)
+        L, r = prob.forward.lipschitz, prob.forward.strong_monotone_modulus
+        for mu, lambda1, alpha, beta in itertools.product(*grid):
+            interval = validate_strong(StrongParams(L, r, mu, lambda1, alpha, beta, 0.5)).theta_interval
+            if interval is None:
+                continue
+            ends += 1
+            below = above = interval[1]
+            for _ in range(4):
+                for theta in (below, above):
+                    p = StrongParams(L, r, mu, lambda1, alpha, beta, theta)
+                    assert validate_strong(p).clause("c3").passed == c3_in_fractions(p), p
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+        found = find_feasible_strong(L, r, *grid)
+        assert found and all(c3_in_fractions(params) for params, _ in found)
+    assert ends == 18
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    L=st.floats(0.5, 5.0),
+    r_over_L=st.floats(0.05, 1.0),
+    mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+    lambda1=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=2),
+    alpha_offset=st.floats(0.0, 0.05),
+    beta=st.floats(0.0, 0.2),
+)
+def test_strong_search_returns_sets_the_reals_admit(L, r_over_L, mu, lambda1, alpha_offset, beta):
+    found = find_feasible_strong(L, r_over_L * L, mu, lambda1, [alpha_offset + 0.05 * i for i in range(20)], [0.0, beta])
+    for params, report in found:
+        assert c3_in_fractions(params), params
+        lo, hi = report.theta_interval
+        if params.theta_const not in (0.5 * (lo + hi), hi):  # stepped down from the upper end, no further than needed
+            assert not c3_in_fractions(replace(params, theta_const=math.nextafter(params.theta_const, 2.0)))
 
 
 # --- the exact weak-regime clauses ------------------------------------------------

@@ -322,6 +322,25 @@ def test_strong_reference_point_reports_infeasible():
     assert not rep.passed
 
 
+def test_strong_c3_is_decided_in_the_reals():
+    # theta is the float upper root; the quadratic is about +1.2e-16 there in exact arithmetic
+    p = StrongParams(
+        L=1.010982998680605,
+        r=0.5,
+        mu=0.5,
+        lambda1=1.0,
+        alpha_const=0.30000000000000004,
+        beta_const=0.01,
+        theta_const=0.7897002338375106,
+    )
+    rep = validate_strong(p)
+    assert rep.theta_interval[1] == p.theta_const  # the float interval is kept for display
+    assert not rep.clause("c3").passed
+    assert rep.clause("c3").detail.endswith("theta = 0.7897; in exact arithmetic theta is not admissible")
+    below = validate_strong(replace(p, theta_const=math.nextafter(p.theta_const, 0.0))).clause("c3")
+    assert below.passed and "exact" not in below.detail
+
+
 def test_strong_zero_inertia_is_infeasible():
     # with alpha = beta = 0 the relaxation lower bound collapses to 1
     p = StrongParams(L=1.5, r=1.0, mu=0.45, lambda1=0.5, alpha_const=0.0, beta_const=0.0, theta_const=0.9)

@@ -97,7 +97,7 @@ def test_non_finite_forward_value_is_divergence():
 
 def scalar_doubling_problem():
     return Problem(
-        forward=ForwardOperator(fn=lambda x: 2.0 * x, lipschitz=2.0),
+        forward=ForwardOperator(fn=lambda x: 2.0 * x, estimators={"lipschitz": lambda: 2.0}),
         backward=identity_resolvent(),
         dimension=1,
     )
