@@ -11,7 +11,9 @@ as :class:`Resolvent` objects that ignore ``lam``.
 Operators are immutable after construction and evaluation is pure, so
 they are safe to share between concurrent solver runs.  Lipschitz and
 strong-monotonicity metadata are optional, computed on first read and
-read by the validators only; the solver itself never needs them.
+read by the validators only; the solver itself never needs them.  Every
+built-in map and problem builder declares its metadata this way, so
+building an instance runs no SVD or eigenvalue solve.
 
 A forward map that multiplies by a dense matrix keeps it C-contiguous and
 starting on a 64-byte boundary (``linalg.aligned_matrix``), so no vector

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, RngStream, Vector, aligned_empty, as_vector, uniform_matrix
+from .linalg import Matrix, RngStream, Vector, aligned_empty, aligned_matrix, as_vector, uniform_matrix
 from .operators import (
     ForwardOperator,
     affine_forward,
@@ -37,6 +37,13 @@ from .operators import (
     soft_threshold_resolvent,
 )
 from .solver import Problem
+
+
+def _orthant_vi(forward: ForwardOperator, m: int, known: Vector | None, label: str) -> Problem:
+    """The variational inequality of ``forward`` over the nonnegative orthant, started from all ones."""
+    return Problem(
+        forward=forward, backward=orthant_resolvent(), dimension=m, known_solution=known, x0=np.ones(m), label=label
+    )
 
 
 @dataclass(eq=False)
@@ -96,16 +103,12 @@ def gen_lasso(
         reg_val = float(reg)
     else:
         raise ValueError("reg must be positive")
-    inst = LassoInstance(a_mat=a_mat, y=y, x_true=x_true, reg=reg_val)
-    prob = Problem(
+    return LassoInstance(a_mat=a_mat, y=y, x_true=x_true, reg=reg_val), Problem(
         forward=least_squares_gradient(a_mat, y),
         backward=soft_threshold_resolvent(reg_val),
         dimension=n_cols,
-        x0=np.zeros(n_cols),
-        x1=np.zeros(n_cols),
         label=f"lasso(k={k},m={m_rows},n={n_cols},seed={rng.seed})",
     )
-    return inst, prob
 
 
 def gen_affine_vi(
@@ -142,17 +145,9 @@ def gen_affine_vi(
         q_vec = as_vector(q, name="q")
         known = np.maximum(0.0, -q_vec) if identity else None
 
-    inst = AffineVIInstance(m_mat=m_mat)
-    prob = Problem(
-        forward=affine_forward(m_mat, q_vec),
-        backward=orthant_resolvent(),
-        dimension=m,
-        known_solution=known,
-        x0=np.ones(m),
-        x1=np.ones(m),
-        label=f"affine_vi(m={m},seed={rng.seed})",
+    return AffineVIInstance(m_mat=m_mat), _orthant_vi(
+        affine_forward(m_mat, q_vec), m, known, f"affine_vi(m={m},seed={rng.seed})"
     )
-    return inst, prob
 
 
 _L2_CASES = {
@@ -206,30 +201,25 @@ def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:
     The skew part is antisymmetrized from a strictly upper-triangular
     uniform(-1, 1) draw scaled by ``1/sqrt(m)``; its cross term vanishes,
     so the modulus of strong monotonicity is exactly ``rho`` and the
-    Lipschitz constant is exactly ``sqrt(rho^2 + ||S||^2)``.  The backward
-    operator is the orthant projection and zero is the registered
-    solution.
+    Lipschitz constant is exactly ``sqrt(rho^2 + ||S||^2)``.  ``L`` is
+    computed on first read, with ``||S||`` by LAPACK's SVD of
+    ``M - rho*I``, which gives back S exactly.  The backward operator is
+    the orthant projection and zero is the registered solution.
     """
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     if m < 1:
         raise ValueError("dimension must be >= 1")
     upper = np.triu(rng.generator().uniform(-1.0, 1.0, (m, m)), k=1)
-    skew = (upper - upper.T) / np.sqrt(m)
-    s_norm = float(np.linalg.norm(skew, 2)) if m > 1 else 0.0
-    lipschitz = float(np.sqrt(rho**2 + s_norm**2))
-    return Problem(
-        forward=ForwardOperator(
-            fn=affine_forward(rho * np.eye(m) + skew, np.zeros(m)).fn,
-            estimators={"lipschitz": lambda: lipschitz, "strong_monotone_modulus": lambda: float(rho)},
-        ),
-        backward=orthant_resolvent(),
-        dimension=m,
-        known_solution=np.zeros(m),
-        x0=np.ones(m),
-        x1=np.ones(m),
-        label=f"oracle_strong(m={m},rho={rho:g},seed={rng.seed})",
+    m_mat = aligned_matrix(rho * np.eye(m) + (upper - upper.T) / np.sqrt(m))
+    forward = ForwardOperator(
+        fn=affine_forward(m_mat, np.zeros(m)).fn,
+        estimators={
+            "lipschitz": lambda: float(np.sqrt(rho**2 + float(np.linalg.norm(m_mat - rho * np.eye(m), 2)) ** 2)),
+            "strong_monotone_modulus": lambda: float(rho),
+        },
     )
+    return _orthant_vi(forward, m, np.zeros(m), f"oracle_strong(m={m},rho={rho:g},seed={rng.seed})")
 
 
 def oracle_orthant_vi(q: Vector = (-1.0, 1.0)) -> Problem:
@@ -239,13 +229,4 @@ def oracle_orthant_vi(q: Vector = (-1.0, 1.0)) -> Problem:
     ``max(0, -q)`` componentwise.
     """
     q = as_vector(q, name="q")
-    m = q.size
-    return Problem(
-        forward=affine_forward(np.eye(m), q),
-        backward=orthant_resolvent(),
-        dimension=m,
-        known_solution=np.maximum(0.0, -q),
-        x0=np.ones(m),
-        x1=np.ones(m),
-        label=f"oracle_orthant(m={m})",
-    )
+    return _orthant_vi(affine_forward(np.eye(q.size), q), q.size, np.maximum(0.0, -q), f"oracle_orthant(m={q.size})")

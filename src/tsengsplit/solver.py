@@ -20,9 +20,11 @@ also the step-ratio numerator), ``||w||``, ``||A(w) - A(y)||``,
 ``||A(w)||``, the stop metric and the distance to a known solution (five
 without ``record_distance``, one fewer under the ``residual`` stop rule,
 which reuses the residual; the descent test adds two).  The rest is
-bookkeeping: the two extrapolations, the blend, the step rule and one
-schedule term per sequence, read from :meth:`SequenceSpec.terms` (a
-constant costs no call).
+bookkeeping: the difference ``x_{n+1} - x_n``, the two extrapolations,
+the blend, the step rule and one schedule term per sequence, read from
+:meth:`SequenceSpec.terms` (a constant costs no call).  The difference
+is formed once, at the end of an iteration: the ``step_diff`` stop
+metric is its norm, and the next iteration extrapolates along it.
 
 The six vector products, ``alpha_n*step``, ``beta_n*step``, ``lam*A(w)``,
 ``lam*(A(y) - A(w))``, ``(1 - theta_n)*z`` and ``theta_n*corrected``, take
@@ -263,6 +265,7 @@ def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
     c_alpha, c_beta, c_lam, c_keep, c_theta = (np.zeros(()) for _ in range(5))
     trace = SolverTrace(label=problem.label)
     rows = trace.rows
+    step = x_curr - x_prev
     forward_evals = resolvent_evals = tie_breaks = 0
     status = STATUS_BUDGET
     y = x_next = None  # for the handler below; a finished iteration leaves finite values here
@@ -272,7 +275,6 @@ def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
         with np.errstate(over="ignore", invalid="ignore"):
             for n, alpha_n, beta_n, theta_n, mu_n, p_n in terms:
                 c_alpha[()], c_beta[()], c_lam[()] = alpha_n, beta_n, lam
-                step = x_curr - x_prev
                 w = x_curr + c_alpha * step
                 z = x_curr + c_beta * step
                 aw = forward(w)
@@ -316,15 +318,16 @@ def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
                                     f"descent inequality violated at iteration {n}: {lhs!r} > {rhs!r}"
                                 )
 
+                step = x_next - x_curr  # the next iteration's x_n - x_{n-1}
                 if stop_rule == "iterate_norm":
                     e_n = norm(x_next, wts)
                 elif stop_rule == "residual":
                     e_n = residual
                 else:
-                    e_n = norm(x_next - x_curr, wts)
+                    e_n = norm(step, wts)
                 dist = None if dist_from is None else norm(x_next - dist_from, wts)
                 rows.append((n, lam, residual, e_n, dist, (clock() - start) * 1e3))
-                x_prev, x_curr, lam = x_curr, x_next, lam_next
+                x_curr, lam = x_next, lam_next
                 if status == STATUS_EXACT:
                     break
                 if e_n <= tol:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ def test_matrix_metadata_estimated_once_on_first_read(monkeypatch):
     assert aff.strong_monotone_modulus == aff.strong_monotone_modulus
     # one computation per field, then cached (the checks above call the real functions)
     assert calls == [("norm", (6, 6)), ("eigvalsh", (6, 6)), ("norm", (4, 6))]
+    # the strong oracle builds with no SVD; its first L read takes one, of M - rho*I = S
+    for m_dim, rho, seed in itertools.product((1, 2, 5, 16), (0.25, 1.0, 3.0), (0, 7)):
+        calls.clear()
+        strong = gen_oracle_strong(RngStream(seed), m=m_dim, rho=rho).forward
+        assert calls == []
+        upper = np.triu(RngStream(seed).generator().uniform(-1.0, 1.0, (m_dim, m_dim)), k=1)
+        skew = (upper - upper.T) / np.sqrt(m_dim)
+        assert strong.lipschitz == float(np.sqrt(rho**2 + float(real_norm(skew, 2)) ** 2))
+        assert strong.strong_monotone_modulus == rho
+        assert strong.lipschitz == strong.lipschitz and strong.strong_monotone_modulus == rho
+        assert calls == [("norm", (m_dim, m_dim))]
 
 
 def test_affine_lipschitz_metadata_sound():
