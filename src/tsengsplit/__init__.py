@@ -4,7 +4,10 @@ The iteration engine combines double inertial extrapolation, relaxation,
 and a self-adaptive step size that needs no Lipschitz constant.  Schedule
 validators, empirical convergence-rate certificates, and generators for
 the benchmark problem families round out the package; the ``tsengsplit``
-CLI drives them from JSON configs.
+CLI drives them from JSON configs.  The report and error types
+(``RateReport``, ``StrongReport``, ``ValidationReport``, ``SolverError``)
+stay public because the validators and certificates return them and every
+failed solve raises one, so callers annotate and catch them by name.
 """
 
 from .linalg import (
@@ -28,8 +31,6 @@ from .operators import (
     soft_threshold_resolvent,
 )
 from .problems import (
-    AffineVIInstance,
-    L2VIInstance,
     LassoInstance,
     gen_affine_vi,
     gen_l2_vi,

@@ -260,9 +260,9 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     if cfg.family == "lasso":
         return gen_lasso(rng, **p)[1]
     if cfg.family == "affine_vi":
-        return gen_affine_vi(rng, **p)[1]
+        return gen_affine_vi(rng, **p)
     if cfg.family == "l2_vi":
-        return gen_l2_vi(**p)[1]
+        return gen_l2_vi(**p)
     if cfg.family == "oracle_strong":
         return gen_oracle_strong(rng, **p)
     return oracle_orthant_vi(**p)

@@ -16,7 +16,9 @@ as its resolvent (``orthant_resolvent``, ``hyperplane_resolvent``).
 Oracle constructors register a closed-form solution so runs can record
 the distance to it; registration verifies the fixed-point property.
 Generators are pure functions of their random stream, so a seed replays
-its instance exactly.
+its instance exactly.  Each returns the :class:`Problem`; ``gen_lasso``
+also returns its :class:`LassoInstance`, whose ground truth ``x_true`` no
+``Problem`` holds.
 """
 
 from __future__ import annotations
@@ -54,16 +56,6 @@ class LassoInstance:
     reg: float
 
 
-@dataclass(eq=False)
-class AffineVIInstance:
-    m_mat: Matrix
-
-
-@dataclass(eq=False)
-class L2VIInstance:
-    grid: Vector
-
-
 def gen_lasso(
     rng: RngStream,
     k: int = 20,
@@ -81,6 +73,9 @@ def gen_lasso(
     measurements.  The l1 weight defaults to ``reg_scale * ||A^T y||_inf``
     unless given explicitly.  Initial points are zero.  ``A`` is drawn
     straight into 64-byte-aligned storage, which the forward map keeps as is.
+
+    Returns the instance record with the problem: the sparse ground truth
+    ``x_true`` is the one value the :class:`Problem` does not hold.
     """
     if not (0 < k < m_rows < n_cols):
         raise ValueError(f"need 0 < k < m_rows < n_cols, got ({k}, {m_rows}, {n_cols})")
@@ -116,7 +111,7 @@ def gen_affine_vi(
     m: int = 50,
     q: Vector | None = None,
     identity: bool = False,
-) -> tuple[AffineVIInstance, Problem]:
+) -> Problem:
     """Affine variational inequality over the nonnegative orthant.
 
     Unless ``identity`` is set, the matrix is ``N N^T + S + D`` with N and
@@ -145,9 +140,7 @@ def gen_affine_vi(
         q_vec = as_vector(q, name="q")
         known = np.maximum(0.0, -q_vec) if identity else None
 
-    return AffineVIInstance(m_mat=m_mat), _orthant_vi(
-        affine_forward(m_mat, q_vec), m, known, f"affine_vi(m={m},seed={rng.seed})"
-    )
+    return _orthant_vi(affine_forward(m_mat, q_vec), m, known, f"affine_vi(m={m},seed={rng.seed})")
 
 
 _L2_CASES = {
@@ -158,7 +151,7 @@ _L2_CASES = {
 }
 
 
-def gen_l2_vi(m: int = 200, case: int = 1) -> tuple[L2VIInstance, Problem]:
+def gen_l2_vi(m: int = 200, case: int = 1) -> Problem:
     """Grid discretization of the integral-constraint variational inequality.
 
     The forward operator is the pointwise positive part and the feasible
@@ -181,8 +174,7 @@ def gen_l2_vi(m: int = 200, case: int = 1) -> tuple[L2VIInstance, Problem]:
     b = 2.0
     gram = float(np.dot(weights * grid, grid))
     known = (b / gram) * grid
-    inst = L2VIInstance(grid=grid)
-    prob = Problem(
+    return Problem(
         forward=pointwise_max_zero(),
         backward=hyperplane_resolvent(grid, b, weights=weights),
         dimension=m,
@@ -192,7 +184,6 @@ def gen_l2_vi(m: int = 200, case: int = 1) -> tuple[L2VIInstance, Problem]:
         x1=x1,
         label=f"l2_vi(m={m},case={case})",
     )
-    return inst, prob
 
 
 def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:

@@ -29,7 +29,6 @@ objects are built, so a schedule that constructs is one the solver runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -228,7 +227,7 @@ class ClauseResult:
 
 
 class _ClauseReport:
-    """Verdict, clause lookup and JSON shared by the validator reports."""
+    """Verdict and clause lookup shared by the validator reports."""
 
     clauses: list[ClauseResult]
 
@@ -242,9 +241,6 @@ class _ClauseReport:
                 return c
         raise KeyError(name)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 @dataclass
 class ValidationReport(_ClauseReport):
@@ -255,12 +251,15 @@ class ValidationReport(_ClauseReport):
         return {"label": self.label, "passed": self.passed, "clauses": [c.to_dict() for c in self.clauses]}
 
 
-def _sample_indices(horizon: int) -> list[int]:
-    """Dense prefix then geometric spacing up to and including the horizon."""
-    out = list(range(1, min(horizon, 64) + 1))
+_HORIZON = 10**6  # clause (iv) is sampled up to here
+
+
+def _sample_indices() -> list[int]:
+    """Dense prefix then geometric spacing up to and including ``_HORIZON``."""
+    out = list(range(1, 65))
     n = out[-1]
-    while n < horizon:
-        n = min(horizon, max(n + 1, int(n * 1.25)))
+    while n < _HORIZON:
+        n = min(_HORIZON, max(n + 1, int(n * 1.25)))
         out.append(n)
     return out
 
@@ -285,7 +284,7 @@ def _range_clause(
     return ClauseResult(clause, True, None, f"{name}_n {shape} {first:.6g} to its limit {lim:.6g}, inside {bounds}")
 
 
-def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
+def validate_c3(s: ScheduleSet) -> ValidationReport:
     """Check the admissibility conditions for the weak-convergence regime.
 
     Clauses (i)-(iii) and (v) are decided exactly: every family member
@@ -293,7 +292,8 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
     each sequence's range and direction, and the series sum decides
     summability.  Only clause (iv), which blends three sequences, is
     sampled: at consecutive pairs from geometrically spaced indices up to
-    ``horizon``, with no tolerance, so any sampled drop fails it.
+    n = 10^6, with no tolerance, so any sampled drop fails it and a drop
+    beyond 10^6 goes unseen.
 
     i    0 <= alpha_n <= 1
     ii   beta_n nondecreasing from a nonnegative first term, with
@@ -314,8 +314,6 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
     Failures are report entries, never exceptions; the solver accepts
     non-validated schedules (exploratory runs are legitimate).
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
     relaxed = s.beta.is_identically_zero()
 
     # (i) primary inertia within [0, 1]
@@ -343,16 +341,16 @@ def validate_c3(s: ScheduleSet, horizon: int = 10**6) -> ValidationReport:
         th = s.theta.at(n)
         return (1.0 - th) * s.beta.at(n) + th * s.alpha.at(n)
 
-    ns = _sample_indices(horizon)
+    ns = _sample_indices()
     bad = next((n for n in ns if blended(n + 1) < blended(n)), None)
     clauses.append(
         ClauseResult(
             "iv",
             bad is None,
             bad,
-            f"blended inertia nondecreasing at {len(ns)} sampled indices up to n = {horizon}"
+            f"blended inertia nondecreasing at {len(ns)} sampled indices up to n = {_HORIZON}"
             if bad is None
-            else f"decreases between n = {bad} and {bad + 1} (sampled up to n = {horizon})",
+            else f"decreases between n = {bad} and {bad + 1} (sampled up to n = {_HORIZON})",
         )
     )
 

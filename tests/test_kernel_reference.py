@@ -145,8 +145,8 @@ def growing_schedule():
 
 CASES = {
     "lasso": (lambda: gen_lasso(RngStream(3), k=3, m_rows=16, n_cols=32)[1], "paper_default", {}),
-    "affine_m20": (lambda: gen_affine_vi(RngStream(4), m=20)[1], "paper_default", {"record_distance": True}),
-    "l2_weighted": (lambda: gen_l2_vi(50, 1)[1], "paper_default", {"record_distance": True}),
+    "affine_m20": (lambda: gen_affine_vi(RngStream(4), m=20), "paper_default", {"record_distance": True}),
+    "l2_weighted": (lambda: gen_l2_vi(50, 1), "paper_default", {"record_distance": True}),
     "oracle_strong_descent": (
         lambda: gen_oracle_strong(RngStream(5), m=8, rho=1.0),
         "tseng_plain",

@@ -391,7 +391,7 @@ def test_fixed_point_of_forward_backward_at_oracle_solutions():
     problems = [
         oracle_orthant_vi(np.array([-1.0, 1.0])),
         gen_oracle_strong(RngStream(110), m=8, rho=1.0),
-        gen_l2_vi(60, 1)[1],
+        gen_l2_vi(60, 1),
     ]
     for prob in problems:
         xs = prob.known_solution

@@ -74,20 +74,20 @@ def test_lasso_draws_a_from_the_stream_as_a_plain_draw_would():
 
 
 def test_affine_vi_zero_q_registers_origin():
-    inst, prob = gen_affine_vi(RngStream(8), m=50)
+    prob = gen_affine_vi(RngStream(8), m=50)
     assert np.array_equal(prob.known_solution, np.zeros(50))
     assert np.allclose(prob.forward(np.zeros(50)), 0.0)
 
 
 def test_affine_vi_symmetric_part_positive_semidefinite():
     for seed in range(10):
-        inst, _ = gen_affine_vi(RngStream(seed), m=20)
-        sym = 0.5 * (inst.m_mat + inst.m_mat.T)
+        m_mat = forward_matrix(gen_affine_vi(RngStream(seed), m=20).forward)
+        sym = 0.5 * (m_mat + m_mat.T)
         assert np.linalg.eigvalsh(sym)[0] >= -1e-8
 
 
 def test_affine_vi_monotone_on_samples():
-    inst, prob = gen_affine_vi(RngStream(9), m=25)
+    prob = gen_affine_vi(RngStream(9), m=25)
     g = RngStream(10).generator()
     for _ in range(1000):
         x, y = g.standard_normal(25), g.standard_normal(25)
@@ -95,7 +95,7 @@ def test_affine_vi_monotone_on_samples():
 
 
 def test_affine_vi_identity_oracle():
-    inst, prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), identity=True)
+    prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), identity=True)
     assert np.allclose(prob.known_solution, [1.0, 0.0])
 
 
@@ -103,29 +103,30 @@ def test_affine_vi_identity_oracle():
 
 
 def test_l2_vi_case_values_at_endpoint():
-    _, prob = gen_l2_vi(200, 1)
+    prob = gen_l2_vi(200, 1)
     assert prob.x0[-1] == pytest.approx(101.0 / 13.0)
-    _, prob4 = gen_l2_vi(200, 4)
+    prob4 = gen_l2_vi(200, 4)
     assert prob4.x1[-1] == pytest.approx(101.0 / 13.0)
 
 
 def test_l2_vi_weights_positive_and_sum_to_one():
-    _, prob = gen_l2_vi(200, 2)
+    prob = gen_l2_vi(200, 2)
     assert (prob.weights > 0).all()
     assert prob.weights.sum() == pytest.approx(1.0)
 
 
 def test_l2_vi_resolvent_restores_constraint():
-    inst, prob = gen_l2_vi(200, 3)
+    prob = gen_l2_vi(200, 3)
+    grid = np.linspace(0.0, 1.0, 200)
     g = RngStream(13).generator()
     for _ in range(20):
         x = g.standard_normal(200)
         proj = prob.backward(x, 0.5)
-        assert abs(float(np.dot(prob.weights * inst.grid, proj)) - 2.0) <= 1e-9
+        assert abs(float(np.dot(prob.weights * grid, proj)) - 2.0) <= 1e-9
 
 
 def test_l2_vi_forward_contracts_in_weighted_norm():
-    _, prob = gen_l2_vi(120, 2)
+    prob = gen_l2_vi(120, 2)
     g = RngStream(14).generator()
     for _ in range(200):
         x, y = g.standard_normal(120), g.standard_normal(120)
@@ -134,9 +135,10 @@ def test_l2_vi_forward_contracts_in_weighted_norm():
 
 
 def test_l2_vi_known_solution_is_scaled_grid():
-    inst, prob = gen_l2_vi(150, 1)
-    gram = float(np.dot(prob.weights * inst.grid, inst.grid))
-    assert np.allclose(prob.known_solution, (2.0 / gram) * inst.grid)
+    prob = gen_l2_vi(150, 1)
+    grid = np.linspace(0.0, 1.0, 150)
+    gram = float(np.dot(prob.weights * grid, grid))
+    assert np.allclose(prob.known_solution, (2.0 / gram) * grid)
 
 
 def test_l2_vi_rejects_bad_case():
@@ -178,8 +180,8 @@ def test_oracle_strong_solver_and_certificate():
     "build",
     [
         lambda: gen_lasso(RngStream(23))[1],
-        lambda: gen_affine_vi(RngStream(24), m=50)[1],
-        lambda: gen_affine_vi(RngStream(25), m=7, q=np.ones(7), identity=True)[1],
+        lambda: gen_affine_vi(RngStream(24), m=50),
+        lambda: gen_affine_vi(RngStream(25), m=7, q=np.ones(7), identity=True),
         lambda: gen_oracle_strong(RngStream(26), m=10),
         lambda: oracle_orthant_vi(np.array([-2.0, 0.5, 1.0])),
     ],

@@ -137,7 +137,7 @@ def test_schedule_set_keeps_what_the_validators_only_flag():
         ("v", _custom(alpha=constant(0.5), beta=constant(0.0), theta=constant(0.4), p_seq=constant(0.1))),
     ]
     for clause, s in flagged:
-        assert not validate_c3(s, horizon=1000).clause(clause).passed, clause
+        assert not validate_c3(s).clause(clause).passed, clause
 
 
 # --- weak-regime validation ----------------------------------------------------
@@ -181,7 +181,7 @@ def test_validate_benchmark_schedule_passes():
         theta_floor=0.4,
     )
     rep = validate_c3(s)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, json.dumps(rep.to_dict())
 
 
 def test_validate_decreasing_theta_fails_clause_iii():
@@ -264,6 +264,23 @@ def test_clause_iv_passes_a_blend_that_only_rounding_decreases():
     assert iv.passed, iv.detail
 
 
+@pytest.mark.xfail(strict=True, reason="clause (iv) is sampled only up to n = 10^6, and this blend first drops later")
+def test_clause_iv_fails_a_blend_that_drops_beyond_the_sampled_indices():
+    alpha, theta = rational(0.4, 1.0, 1e8), rational(0.45, -0.1, 0.0)
+
+    def exact(seq, n):
+        return Fraction(seq.a) + Fraction(seq.b) / (Fraction(seq.c) + n)
+
+    def exact_blend(n):  # beta is zero
+        return exact(theta, n) * exact(alpha, n)
+
+    # in the reals the blend drops between n = 42,479,044 and 42,479,045, far past the sampled 10^6
+    assert exact_blend(42_479_043) <= exact_blend(42_479_044) > exact_blend(42_479_045)
+    s = ScheduleSet(alpha=alpha, beta=constant(0), theta=theta, epsilon=0, theta_floor=0.3, mu=0.9, lambda1=0.1)
+    iv = validate_c3(s).clause("iv")
+    assert not iv.passed, iv.detail
+
+
 def test_blended_inertia_nondecreasing_for_passing_sets():
     for s in (preset("paper_default"), preset("chc_relaxed")):
         ns = range(1, 2000)
@@ -273,15 +290,10 @@ def test_blended_inertia_nondecreasing_for_passing_sets():
 
 def test_report_serializes():
     rep = validate_c3(preset("paper_default"))
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["passed"] is True
     assert {c["clause"] for c in payload["clauses"]} == {"i", "ii", "iii", "iv", "v"}
     assert all({"clause", "pass", "first_violation_index", "detail"} <= set(c) for c in payload["clauses"])
-
-
-def test_validate_requires_sane_horizon():
-    with pytest.raises(ValueError):
-        validate_c3(preset("paper_default"), horizon=1)
 
 
 # --- presets -------------------------------------------------------------------
@@ -414,5 +426,5 @@ def test_strong_interval_always_inside_unit_when_nonempty():
 
 def test_strong_report_serializes():
     p = StrongParams(L=1.4, r=1.0, mu=0.4, lambda1=0.3, alpha_const=0.35, beta_const=0.0, theta_const=0.75)
-    payload = json.loads(validate_strong(p).to_json())
+    payload = json.loads(json.dumps(validate_strong(p).to_dict()))
     assert set(payload) == {"tau", "lambda_hat", "passed", "clauses", "theta_interval", "q"}

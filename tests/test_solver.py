@@ -151,8 +151,8 @@ def test_solve_operation_counts():
 # one small problem per family; the last forward map is constant, so its run ends in an exact stop
 COUNTED_PROBLEMS = {
     "lasso": lambda: gen_lasso(RngStream(7), k=3, m_rows=20, n_cols=40)[1],
-    "affine_vi": lambda: gen_affine_vi(RngStream(7), m=8)[1],
-    "l2_vi": lambda: gen_l2_vi(20, 2)[1],
+    "affine_vi": lambda: gen_affine_vi(RngStream(7), m=8),
+    "l2_vi": lambda: gen_l2_vi(20, 2),
     "oracle_strong": lambda: gen_oracle_strong(RngStream(7), m=6),
     "oracle_orthant": lambda: oracle_orthant_vi(np.array([-1.0, 1.0])),
     "exact_stop": lambda: Problem(
@@ -373,7 +373,7 @@ def test_concurrent_solves_keep_their_own_coefficient_arrays():
         operators._ZERO[()] = 1.0
     # each solve refreshes its own 0-d coefficients in place; threads switching every
     # few opcodes on one problem would mix them up if they were shared
-    _, problem = gen_affine_vi(RngStream(23), m=20)
+    problem = gen_affine_vi(RngStream(23), m=20)
     schedule_sets = (preset("paper_default"), flat_schedule(alpha=0.3, theta=0.7), flat_schedule(theta=0.9, lambda1=0.05))
     configs = [SolverConfig(schedules=schedules, max_iters=150, tol=1e-30) for schedules in schedule_sets]
     serial = [[row[:-1] for row in solve(problem, cfg)[1].rows] for cfg in configs]  # all but elapsed_ms
