@@ -42,7 +42,6 @@ from .schedules import (
     PRESET_NAMES,
     ScheduleSet,
     SequenceSpec,
-    StrongParams,
     StrongReport,
     ValidationReport,
     beta_bound,

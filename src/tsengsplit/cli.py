@@ -45,7 +45,6 @@ from .schedules import (
     SEQUENCE_KINDS,
     ScheduleSet,
     SequenceSpec,
-    StrongParams,
     constant,
     preset,
     validate_c3,
@@ -285,16 +284,7 @@ def _validation_payload(cfg: ExperimentConfig, problem: Problem) -> dict:
         and fwd.strong_monotone_modulus > 0
         and fwd.lipschitz is not None
     ):
-        params = StrongParams(
-            L=fwd.lipschitz,
-            r=fwd.strong_monotone_modulus,
-            mu=s.mu,
-            lambda1=s.lambda1,
-            alpha_const=s.alpha.value,
-            beta_const=s.beta.value,
-            theta_const=s.theta.value,
-        )
-        payload["strong"] = validate_strong(params).to_dict()
+        payload["strong"] = validate_strong(s, fwd.lipschitz, fwd.strong_monotone_modulus).to_dict()
     return payload
 
 

@@ -197,8 +197,9 @@ def gen_oracle_strong(rng: RngStream, m: int = 10, rho: float = 1.0) -> Problem:
     ``M - rho*I``, which gives back S exactly.  The backward operator is
     the orthant projection and zero is the registered solution.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    # L squares rho: a rho whose square overflows has no finite L
+    if not (0 < rho < math.inf and math.isfinite(rho * rho)):
+        raise ValueError(f"rho must be positive with a finite square, got {rho}")
     if m < 1:
         raise ValueError("dimension must be >= 1")
     upper = np.triu(rng.generator().uniform(-1.0, 1.0, (m, m)), k=1)

@@ -19,9 +19,11 @@ closed form and serialized to JSON: constants, ``a + b/(c + n)``,
 
 Two validators are provided.  :func:`validate_c3` checks the weak
 convergence regime (admissible inertia/relaxation schedules).
-:func:`validate_strong` checks the stricter constant-parameter regime
-under which the iteration contracts linearly, and reports the admissible
-relaxation interval and the contraction factor.  Validators never block a
+:func:`validate_strong` checks a constant :class:`ScheduleSet`, with the
+problem's ``L`` and ``r``, for the stricter regime under which the
+iteration contracts linearly, and reports the admissible relaxation
+interval and the contraction factor; :func:`find_feasible_strong`
+returns such sets, ready to run.  Validators never block a
 solve; they produce reports.  What no run can use (a non-finite number, a
 step parameter outside the step rule's domain) is refused when the
 objects are built, so a schedule that constructs is one the solver runs.
@@ -370,40 +372,6 @@ def validate_c3(s: ScheduleSet) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongParams:
-    """Constant-parameter configuration checked for the linear-rate regime.
-
-    ``L`` and ``r`` are the Lipschitz constant and strong-monotonicity
-    modulus of the problem; the remaining fields mirror a constant
-    :class:`ScheduleSet`.  ``lambda_hat`` and ``tau`` are derived.
-    """
-
-    L: float
-    r: float
-    mu: float
-    lambda1: float
-    alpha_const: float
-    beta_const: float
-    theta_const: float
-
-    def __post_init__(self):
-        if not (self.L > 0 and self.r > 0):
-            raise ValueError("L and r must be positive")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not self.lambda1 > 0:
-            raise ValueError("lambda1 must be positive")
-
-    @property
-    def lambda_hat(self) -> float:
-        return min(self.mu / self.L, self.lambda1)
-
-    @property
-    def tau(self) -> float:
-        return 1.0 - 0.5 * min(1.0 - self.mu, 2.0 * self.lambda_hat * self.r)
-
-
 @dataclass
 class StrongReport(_ClauseReport):
     tau: float
@@ -428,7 +396,7 @@ def contraction_factor(tau: float, alpha: float, beta: float, theta: float) -> f
     return (1.0 + beta) + theta * (tau * (1.0 + alpha) - (1.0 + beta))
 
 
-def _c3_holds(p: StrongParams) -> bool:
+def _c3_holds(s: ScheduleSet, L: float, r: float) -> bool:
     """Clause c3 in the reals, on the float inputs as exact rationals.
 
     ``tau`` and both lower bounds are rational in the inputs.  Every theta
@@ -436,7 +404,7 @@ def _c3_holds(p: StrongParams) -> bool:
     ``quad*t^2 + (1+b)*t + (b-1)``, so it is at most the larger root
     exactly when that quadratic is not positive at theta.
     """
-    L, r, mu, lam1, a, b, th = map(Fraction, (p.L, p.r, p.mu, p.lambda1, p.alpha_const, p.beta_const, p.theta_const))
+    L, r, mu, lam1, a, b, th = map(Fraction, (L, r, s.mu, s.lambda1, s.alpha.value, s.beta.value, s.theta.value))
     tau = 1 - min(1 - mu, 2 * min(mu / L, lam1) * r) / 2
     quad = 1 / tau - 1 - 2 * b
     if not (quad > 0 and 1 + a - b > 0 and 1 + b - tau * (1 + a) > 0 and th <= 1):
@@ -445,8 +413,15 @@ def _c3_holds(p: StrongParams) -> bool:
     return lower < th and (quad * th + 1 + b) * th + b - 1 <= 0
 
 
-def validate_strong(p: StrongParams) -> StrongReport:
+def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
     """Check the constant-parameter conditions for linear convergence.
+
+    ``s`` is the constant set the solver runs: its ``alpha``, ``beta`` and
+    ``theta`` must be of kind ``constant``; its other sequences and its
+    weak-regime scalars are not read.  ``L`` and ``r`` are the problem's
+    Lipschitz constant and modulus of strong monotonicity, both positive
+    and finite.  The report derives ``lambda_hat = min(mu/L, lambda1)``
+    and ``tau = 1 - min(1 - mu, 2*lambda_hat*r)/2``.
 
     Verdicts are computed by direct evaluation of the bounds; nothing is
     presumed feasible.  Clause c3 is decided in exact arithmetic; the
@@ -454,8 +429,13 @@ def validate_strong(p: StrongParams) -> StrongReport:
     (0, 1], possibly empty) and the contraction factor at the supplied
     relaxation weight.
     """
-    tau, lam_hat = p.tau, p.lambda_hat
-    a, b, th = p.alpha_const, p.beta_const, p.theta_const
+    if not all(seq.kind == "constant" for seq in (s.alpha, s.beta, s.theta)):
+        raise ValueError("the strong regime needs constant alpha, beta and theta")
+    if not (0.0 < L < math.inf and 0.0 < r < math.inf):
+        raise ValueError(f"L and r must be positive and finite, got L = {L}, r = {r}")
+    lam_hat = min(s.mu / L, s.lambda1)
+    tau = 1.0 - 0.5 * min(1.0 - s.mu, 2.0 * lam_hat * r)
+    a, b, th = s.alpha.value, s.beta.value, s.theta.value
     clauses: list[ClauseResult] = []
 
     c1_cap = 0.5 * (1.0 / tau - 1.0)
@@ -486,7 +466,7 @@ def validate_strong(p: StrongParams) -> StrongReport:
     else:
         in_floats = False
         detail = f"beta cap violated: 1/tau - 1 - 2*beta = {quad:.6g} <= 0"
-    ok3 = _c3_holds(p)
+    ok3 = _c3_holds(s, L, r)
     if ok3 != in_floats:  # the float bounds are rounded: say which side the reals put theta on
         detail += f"; in exact arithmetic theta is {'' if ok3 else 'not '}admissible"
     clauses.append(ClauseResult("c3", ok3, None if ok3 else 1, detail))
@@ -502,32 +482,33 @@ def find_feasible_strong(
     lambda1_grid: list[float],
     alpha_grid: list[float],
     beta_grid: list[float],
-) -> list[tuple[StrongParams, StrongReport]]:
-    """Grid-search for parameter sets passing :func:`validate_strong`.
+) -> list[tuple[ScheduleSet, StrongReport]]:
+    """Grid-search for constant schedule sets passing :func:`validate_strong`.
 
     For each grid point, the midpoint and the upper end of the reported
     admissible theta interval are tried, the upper end stepped down with
-    ``math.nextafter`` to the largest float c3 admits.  Results are sorted
-    by contraction factor, best first.
+    ``math.nextafter`` to the largest float c3 admits.  Each returned set
+    runs as it is; its weak-regime fields keep their defaults.  Results
+    are sorted by contraction factor, best first.
     """
-    found: list[tuple[StrongParams, StrongReport]] = []
+    found: list[tuple[ScheduleSet, StrongReport]] = []
     for mu in mu_grid:
         for lam1 in lambda1_grid:
             for a in alpha_grid:
                 for b in beta_grid:
-                    probe = StrongParams(L, r, mu, lam1, a, b, theta_const=0.5)
-                    interval = validate_strong(probe).theta_interval
+                    probe = ScheduleSet(alpha=constant(a), beta=constant(b), theta=constant(0.5), mu=mu, lambda1=lam1)
+                    interval = validate_strong(probe, L, r).theta_interval
                     if interval is None:
                         continue
                     lo, hi = interval
                     top = hi
                     for _ in range(64):  # the float root lies ulps off: 20,000 random sets took at most 5 steps
-                        if _c3_holds(replace(probe, theta_const=top)):
+                        if _c3_holds(replace(probe, theta=constant(top)), L, r):
                             break
                         top = math.nextafter(top, lo)
                     for th in (0.5 * (lo + hi), top):
-                        cand = StrongParams(L, r, mu, lam1, a, b, th)
-                        rep = validate_strong(cand)
+                        cand = replace(probe, theta=constant(th))
+                        rep = validate_strong(cand, L, r)
                         if rep.passed:
                             found.append((cand, rep))
     found.sort(key=lambda pr: pr[1].q)

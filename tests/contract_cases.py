@@ -142,11 +142,12 @@ NESTED = {
 }
 
 SMALL_LASSO = {"k": 3, "m_rows": 16, "n_cols": 32}
-# each written as the JSON token Infinity or NaN
+# each written as the JSON token Infinity or NaN, but for a rho whose square overflows
 NON_FINITE_PARAMS = {
     name: refused({"problem": {"family": family, "params": params}}, base=STRONG)
     for name, family, params in [
         ("strong_rho_inf", "oracle_strong", {"m": 10, "rho": math.inf}),
+        ("strong_rho_huge", "oracle_strong", {"m": 10, "rho": 1e155}),  # L = sqrt(rho^2 + ||S||^2) would overflow
         ("lasso_reg_inf", "lasso", {**SMALL_LASSO, "reg": math.inf}),  # would zero every iterate
         ("lasso_reg_scale_inf", "lasso", {**SMALL_LASSO, "reg_scale": math.inf}),
         ("lasso_noise_var_nan", "lasso", {**SMALL_LASSO, "noise_var": math.nan}),  # would run noise-free

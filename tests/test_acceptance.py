@@ -265,18 +265,7 @@ def test_criterion_08_linear_certificate():
         beta_grid=[0.0, 0.02, 0.05, 0.1],
     )
     if found:
-        params, srep = found[0]
-        sched = ts.ScheduleSet(
-            alpha=ts.constant(params.alpha_const),
-            beta=ts.constant(params.beta_const),
-            theta=ts.constant(params.theta_const),
-            mu_seq=ts.constant(0.0),
-            p_seq=ts.constant(0.0),
-            mu=params.mu,
-            lambda1=params.lambda1,
-            epsilon=0.0 if params.beta_const == 0.0 else 1.2,
-            theta_floor=params.theta_const / 2,
-        )
+        sched, srep = found[0]
         _, tr = run(prob, sched, max_iters=5000, tol=1e-11)
         rep = ts.certify_linear_rate(tr, q_bound=srep.q)
         ok = rep.passed and rep.details["within_q_bound"]
@@ -287,10 +276,8 @@ def test_criterion_08_linear_certificate():
     else:
         # degraded path: no feasible point, fall back to the published
         # reference values and require empirical geometric decay only
-        params = ts.StrongParams(L=L, r=r, mu=0.45, lambda1=0.3,
-                                 alpha_const=0.37, beta_const=0.1, theta_const=0.72)
-        srep = ts.validate_strong(params)
         sched = table_schedule(alpha=0.37, beta=0.1, theta=0.72, lambda1=0.3, mu=0.45)
+        srep = ts.validate_strong(sched, L, r)
         _, tr = run(prob, sched, max_iters=5000, tol=1e-11)
         rep = ts.certify_linear_rate(tr)
         ok = rep.passed

@@ -125,6 +125,26 @@ def test_validate_prints_strong_report_for_strong_problem(capsys):
     assert "theta_interval" in payload["strong"]
 
 
+def test_validate_reads_operator_metadata_only_for_a_report_it_writes(monkeypatch, capsys):
+    # the strong report needs constant alpha, beta and theta, then a positive modulus, then L:
+    # so lasso_inertia_sweep, constant but with no modulus, runs no SVD of its 256x512 matrix
+    real_norm, real_eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append("norm") or real_norm(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or real_eigvalsh(*a, **k))
+    read = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        calls.clear()
+        main(["validate", "--config", str(path)])
+        read[path.stem] = list(calls)
+    capsys.readouterr()
+    assert read == {
+        "affine_relaxation_sweep": ["eigvalsh", "norm"],
+        "oracle_strong_linear": ["norm"],
+        **dict.fromkeys(["affine_vi_m50", "l2_vi_case1", "lasso_inertia_sweep", "lasso_recovery"], []),
+    }
+
+
 def test_certify_roundtrip(tmp_path):
     out = tmp_path / "run"
     main(["solve", "--config", AFFINE, "--out", str(out), "--quiet"])

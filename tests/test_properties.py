@@ -29,6 +29,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contract_cases import BASES, edited
+from test_schedules import strong_set
 from tsengsplit import (
     TRACE_COLUMNS,
     DivergenceError,
@@ -36,7 +37,6 @@ from tsengsplit import (
     ScheduleSet,
     SolverConfig,
     SolverTrace,
-    StrongParams,
     beta_bound,
     certify_linear_rate,
     constant,
@@ -532,23 +532,21 @@ def test_strong_regime_sets_converge_within_their_contraction_factor(seed, m, rh
     prob = gen_oracle_strong(RngStream(seed), m=m, rho=rho)
     L, r = prob.forward.lipschitz, prob.forward.strong_monotone_modulus
     found = find_feasible_strong(L, r, mu, lambda1, [alpha_offset + 0.05 * i for i in range(20)], [0.0, beta])
-    for params, report in found:
-        a, b, th = map(constant, (params.alpha_const, params.beta_const, params.theta_const))
-        sched = ScheduleSet(alpha=a, beta=b, theta=th, mu=params.mu, lambda1=params.lambda1)
+    for sched, report in found:
         _, trace = solve(prob, SolverConfig(schedules=sched, max_iters=3000, tol=1e-11, record_distance=True))
         cert = certify_linear_rate(trace, q_bound=report.q)
-        assert cert.passed and cert.details["within_q_bound"], (params, report.q, cert.details)
+        assert cert.passed and cert.details["within_q_bound"], (sched, report.q, cert.details)
 
 
 # --- the strong regime's clause c3, decided in the reals -----------------------------
 
 
-def c3_in_fractions(p):
+def c3_in_fractions(s, L, r):
     """Clause c3 on the float inputs as exact rationals: ``1/tau - 1 - 2b > 0`` and
     ``lower < theta <= min(1, upper root)``, with no root taken: theta is at most the
     larger root of ``quad*t^2 + (1+b)*t + (b-1)`` when the quadratic is not positive
     there, or when theta lies left of its vertex."""
-    L, r, mu, lam1, a, b, th = map(Fraction, (p.L, p.r, p.mu, p.lambda1, p.alpha_const, p.beta_const, p.theta_const))
+    L, r, mu, lam1, a, b, th = map(Fraction, (L, r, s.mu, s.lambda1, s.alpha.value, s.beta.value, s.theta.value))
     tau = 1 - min(1 - mu, 2 * min(mu / L, lam1) * r) / 2
     quad, denom1, denom2 = 1 / tau - 1 - 2 * b, 1 + a - b, 1 + b - tau * (1 + a)
     if not (quad > 0 and denom1 > 0 and denom2 > 0):
@@ -569,15 +567,15 @@ def c3_in_fractions(p):
     ulps_from_upper_end=st.none() | st.integers(-8, 8),
 )
 def test_strong_c3_agrees_with_fraction_evaluation(L, r, mu, lambda1, alpha, beta, theta, ulps_from_upper_end):
-    p = StrongParams(L, r, mu, lambda1, alpha, beta, theta)
+    s = strong_set(mu, lambda1, alpha, beta, theta)
     if ulps_from_upper_end is not None:  # theta at the float upper end, where rounding decides
-        interval = validate_strong(p).theta_interval
+        interval = validate_strong(s, L, r).theta_interval
         assume(interval is not None)
         theta = interval[1]
         for _ in range(abs(ulps_from_upper_end)):
             theta = math.nextafter(theta, math.copysign(math.inf, ulps_from_upper_end))
-        p = replace(p, theta_const=theta)
-    assert validate_strong(p).clause("c3").passed == c3_in_fractions(p)
+        s = replace(s, theta=constant(theta))
+    assert validate_strong(s, L, r).clause("c3").passed == c3_in_fractions(s, L, r)
 
 
 def test_strong_c3_agrees_with_fraction_evaluation_around_the_float_upper_ends():
@@ -589,18 +587,18 @@ def test_strong_c3_agrees_with_fraction_evaluation_around_the_float_upper_ends()
         prob = gen_oracle_strong(RngStream(seed), m=4, rho=0.5)
         L, r = prob.forward.lipschitz, prob.forward.strong_monotone_modulus
         for mu, lambda1, alpha, beta in itertools.product(*grid):
-            interval = validate_strong(StrongParams(L, r, mu, lambda1, alpha, beta, 0.5)).theta_interval
+            interval = validate_strong(strong_set(mu, lambda1, alpha, beta, 0.5), L, r).theta_interval
             if interval is None:
                 continue
             ends += 1
             below = above = interval[1]
             for _ in range(4):
                 for theta in (below, above):
-                    p = StrongParams(L, r, mu, lambda1, alpha, beta, theta)
-                    assert validate_strong(p).clause("c3").passed == c3_in_fractions(p), p
+                    s = strong_set(mu, lambda1, alpha, beta, theta)
+                    assert validate_strong(s, L, r).clause("c3").passed == c3_in_fractions(s, L, r), s
                 below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
         found = find_feasible_strong(L, r, *grid)
-        assert found and all(c3_in_fractions(params) for params, _ in found)
+        assert found and all(c3_in_fractions(s, L, r) for s, _ in found)
     assert ends == 18
 
 
@@ -614,12 +612,14 @@ def test_strong_c3_agrees_with_fraction_evaluation_around_the_float_upper_ends()
     beta=st.floats(0.0, 0.2),
 )
 def test_strong_search_returns_sets_the_reals_admit(L, r_over_L, mu, lambda1, alpha_offset, beta):
-    found = find_feasible_strong(L, r_over_L * L, mu, lambda1, [alpha_offset + 0.05 * i for i in range(20)], [0.0, beta])
-    for params, report in found:
-        assert c3_in_fractions(params), params
+    r = r_over_L * L
+    found = find_feasible_strong(L, r, mu, lambda1, [alpha_offset + 0.05 * i for i in range(20)], [0.0, beta])
+    for s, report in found:
+        assert c3_in_fractions(s, L, r), s
         lo, hi = report.theta_interval
-        if params.theta_const not in (0.5 * (lo + hi), hi):  # stepped down from the upper end, no further than needed
-            assert not c3_in_fractions(replace(params, theta_const=math.nextafter(params.theta_const, 2.0)))
+        theta = s.theta.value
+        if theta not in (0.5 * (lo + hi), hi):  # stepped down from the upper end, no further than needed
+            assert not c3_in_fractions(replace(s, theta=constant(math.nextafter(theta, 2.0))), L, r)
 
 
 # --- the exact weak-regime clauses ------------------------------------------------

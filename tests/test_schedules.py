@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from tsengsplit import (
+    DivergenceError,
+    RngStream,
     ScheduleSet,
     SequenceSpec,
-    StrongParams,
+    SolverConfig,
     beta_bound,
     constant,
     find_feasible_strong,
+    gen_oracle_strong,
     inverse_square,
     one_minus_pow10,
     preset,
     rational,
+    solve,
     validate_c3,
     validate_strong,
 )
@@ -281,6 +285,24 @@ def test_clause_iv_fails_a_blend_that_drops_beyond_the_sampled_indices():
     assert not iv.passed, iv.detail
 
 
+@pytest.mark.xfail(
+    strict=True, raises=DivergenceError, reason="beta = 0 lifts theta's cap to 1, and alpha near 1 then diverges"
+)
+def test_weak_regime_set_that_passes_c3_does_not_diverge():
+    s = ScheduleSet(
+        alpha=one_minus_pow10(),
+        beta=constant(0),
+        theta=constant(1.0),
+        epsilon=0,
+        mu=0.875,
+        lambda1=1.0,
+        theta_floor=0.5,
+    )
+    if validate_c3(s).passed:  # a refused set makes no claim
+        cfg = SolverConfig(schedules=s, max_iters=3000, tol=1e-8, assert_descent=True)
+        solve(gen_oracle_strong(RngStream(0), m=2, rho=1.0), cfg)  # diverges at iteration 2121
+
+
 def test_blended_inertia_nondecreasing_for_passing_sets():
     for s in (preset("paper_default"), preset("chc_relaxed")):
         ns = range(1, 2000)
@@ -331,18 +353,33 @@ def test_presets_pass_validation():
 # --- strong/linear regime -------------------------------------------------------
 
 
+def strong_set(mu, lambda1, alpha, beta, theta):
+    """The constant set :func:`validate_strong` judges."""
+    return ScheduleSet(alpha=constant(alpha), beta=constant(beta), theta=constant(theta), mu=mu, lambda1=lambda1)
+
+
 def test_strong_derived_quantities():
-    p = StrongParams(L=1.5, r=1.0, mu=0.45, lambda1=0.5, alpha_const=0.37, beta_const=0.1, theta_const=0.72)
-    assert p.lambda_hat == pytest.approx(0.3)
-    assert p.tau == pytest.approx(0.725)
-    assert 0.5 < p.tau < 1.0
+    rep = validate_strong(strong_set(mu=0.45, lambda1=0.5, alpha=0.37, beta=0.1, theta=0.72), L=1.5, r=1.0)
+    assert rep.lambda_hat == pytest.approx(0.3)
+    assert rep.tau == pytest.approx(0.725)
+    assert 0.5 < rep.tau < 1.0
+
+
+def test_strong_refuses_a_set_it_cannot_judge():
+    s = strong_set(mu=0.45, lambda1=0.5, alpha=0.37, beta=0.1, theta=0.72)
+    # a rational's value field is 0.0: reading it would judge another set
+    for seq in ("alpha", "beta", "theta"):
+        with pytest.raises(ValueError, match="constant alpha, beta and theta"):
+            validate_strong(replace(s, **{seq: rational(0.3, 0.0, 0.0)}), L=1.5, r=1.0)
+    for L, r in [(math.inf, 1.0), (1.5, math.inf), (0.0, 1.0), (1.5, -1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            validate_strong(s, L, r)
 
 
 def test_strong_reference_point_reports_infeasible():
     # direct evaluation of the published reference parameters yields an
     # empty relaxation interval; the validator must report, not presume
-    p = StrongParams(L=1.5, r=1.0, mu=0.45, lambda1=0.5, alpha_const=0.37, beta_const=0.1, theta_const=0.72)
-    rep = validate_strong(p)
+    rep = validate_strong(strong_set(mu=0.45, lambda1=0.5, alpha=0.37, beta=0.1, theta=0.72), L=1.5, r=1.0)
     assert rep.clause("c1").passed
     assert rep.clause("c2").passed
     assert not rep.clause("c3").passed
@@ -352,35 +389,26 @@ def test_strong_reference_point_reports_infeasible():
 
 def test_strong_c3_is_decided_in_the_reals():
     # theta is the float upper root; the quadratic is about +1.2e-16 there in exact arithmetic
-    p = StrongParams(
-        L=1.010982998680605,
-        r=0.5,
-        mu=0.5,
-        lambda1=1.0,
-        alpha_const=0.30000000000000004,
-        beta_const=0.01,
-        theta_const=0.7897002338375106,
-    )
-    rep = validate_strong(p)
-    assert rep.theta_interval[1] == p.theta_const  # the float interval is kept for display
+    L, theta = 1.010982998680605, 0.7897002338375106
+    s = strong_set(mu=0.5, lambda1=1.0, alpha=0.30000000000000004, beta=0.01, theta=theta)
+    rep = validate_strong(s, L, r=0.5)
+    assert rep.theta_interval[1] == theta  # the float interval is kept for display
     assert not rep.clause("c3").passed
     assert rep.clause("c3").detail.endswith("theta = 0.7897; in exact arithmetic theta is not admissible")
-    below = validate_strong(replace(p, theta_const=math.nextafter(p.theta_const, 0.0))).clause("c3")
+    below = validate_strong(replace(s, theta=constant(math.nextafter(theta, 0.0))), L, r=0.5).clause("c3")
     assert below.passed and "exact" not in below.detail
 
 
 def test_strong_zero_inertia_is_infeasible():
     # with alpha = beta = 0 the relaxation lower bound collapses to 1
-    p = StrongParams(L=1.5, r=1.0, mu=0.45, lambda1=0.5, alpha_const=0.0, beta_const=0.0, theta_const=0.9)
-    rep = validate_strong(p)
+    rep = validate_strong(strong_set(mu=0.45, lambda1=0.5, alpha=0.0, beta=0.0, theta=0.9), L=1.5, r=1.0)
     assert rep.theta_interval is None
     assert not rep.passed
 
 
 def test_strong_tau_near_one_kills_beta():
     # tiny lambda1 pushes tau toward 1 and the beta cap toward 0
-    p = StrongParams(L=1.0, r=1.0, mu=0.99, lambda1=1e-7, alpha_const=0.0, beta_const=0.01, theta_const=0.9)
-    rep = validate_strong(p)
+    rep = validate_strong(strong_set(mu=0.99, lambda1=1e-7, alpha=0.0, beta=0.01, theta=0.9), L=1.0, r=1.0)
     assert not rep.clause("c1").passed
 
 
@@ -394,14 +422,13 @@ def test_strong_feasible_interval_inside_unit():
         beta_grid=[0.0, 0.02],
     )
     assert found, "expected at least one feasible parameter set"
-    for params, rep in found:
+    for s, rep in found:
         lo, hi = rep.theta_interval
         assert 0.0 < lo < hi <= 1.0
-        assert lo < params.theta_const <= hi
-        assert rep.q == pytest.approx(
-            contraction_factor(rep.tau, params.alpha_const, params.beta_const, params.theta_const)
-        )
+        assert lo < s.theta.value <= hi
+        assert rep.q == pytest.approx(contraction_factor(rep.tau, s.alpha.value, s.beta.value, s.theta.value))
         assert rep.q < 1.0
+        assert validate_strong(s, L=1.4, r=1.0) == rep  # the returned set is the one judged
     qs = [rep.q for _, rep in found]
     assert qs == sorted(qs)
 
@@ -409,22 +436,21 @@ def test_strong_feasible_interval_inside_unit():
 def test_strong_interval_always_inside_unit_when_nonempty():
     g = np.random.default_rng(77)
     for _ in range(300):
-        p = StrongParams(
-            L=float(g.uniform(0.5, 5.0)),
-            r=float(g.uniform(0.1, 2.0)),
+        L, r = float(g.uniform(0.5, 5.0)), float(g.uniform(0.1, 2.0))
+        s = strong_set(
             mu=float(g.uniform(0.05, 0.95)),
             lambda1=float(g.uniform(0.01, 2.0)),
-            alpha_const=float(g.uniform(0.0, 1.0)),
-            beta_const=float(g.uniform(0.0, 0.3)),
-            theta_const=float(g.uniform(0.1, 1.0)),
+            alpha=float(g.uniform(0.0, 1.0)),
+            beta=float(g.uniform(0.0, 0.3)),
+            theta=float(g.uniform(0.1, 1.0)),
         )
-        rep = validate_strong(p)
+        rep = validate_strong(s, L, r)
         if rep.theta_interval is not None:
             lo, hi = rep.theta_interval
             assert 0.0 < lo < hi <= 1.0
 
 
 def test_strong_report_serializes():
-    p = StrongParams(L=1.4, r=1.0, mu=0.4, lambda1=0.3, alpha_const=0.35, beta_const=0.0, theta_const=0.75)
-    payload = json.loads(json.dumps(validate_strong(p).to_dict()))
+    rep = validate_strong(strong_set(mu=0.4, lambda1=0.3, alpha=0.35, beta=0.0, theta=0.75), L=1.4, r=1.0)
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert set(payload) == {"tau", "lambda_hat", "passed", "clauses", "theta_interval", "q"}
