@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -80,7 +81,7 @@ EXIT_BY_STATUS = {STATUS_EXACT: EXIT_OK, STATUS_TOL: EXIT_OK, STATUS_BUDGET: EXI
 # each problem family and the params it reads: its generator's keywords, whose defaults it takes
 PROBLEM_PARAMS = {
     "lasso": ("k", "m_rows", "n_cols", "noise_var", "reg", "reg_scale"),
-    "affine_vi": ("m", "q", "identity"),
+    "affine_vi": ("m", "q"),
     "l2_vi": ("m", "case"),
     "oracle_strong": ("m", "rho"),
     "oracle_orthant": ("q",),
@@ -90,26 +91,19 @@ SCHEDULE_KEYS = ("preset", *(f.name for f in fields(ScheduleSet)))
 SEQUENCE_KEYS = ("alpha", "beta", "theta", "mu_seq", "p_seq")
 SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "schedules")
 # config keys read as integers (``20.0`` counts, ``20.5`` and ``true`` do not),
-# as true/false, and as floats, which take JSON numbers only (a null ``reg`` is
-# derived from ``reg_scale``; ``values`` are the entries of a sweep axis)
+# as true/false, and as floats, which take JSON numbers only (``values`` are the
+# entries of a sweep axis)
 INTEGER_KEYS = ("version", "seed", "max_iters", "k", "m_rows", "n_cols", "m", "case")
-FLAG_KEYS = ("assert_descent", "record_distance", "identity")
+FLAG_KEYS = ("assert_descent", "record_distance")
 FLOAT_KEYS = (
     *("tol", "noise_var", "reg", "reg_scale", "rho", "mu", "lambda1", "epsilon", "theta_floor", "values"),
     *(param for params in SEQUENCE_KINDS.values() for param in params),
 )
 SWEEPABLE = ("alpha", "beta", "theta", "mu", "lambda1")
-Q_SPELLING = "'q' must be a list of numbers (or \"zero\" for affine_vi)"
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class SweepAxis:
-    param: str
-    values: list[float]
 
 
 @dataclass
@@ -118,7 +112,7 @@ class ExperimentConfig:
     family: str
     problem_params: dict
     solver: SolverConfig
-    sweep_axes: list[SweepAxis]
+    sweep_axes: dict[str, list[float]]  # each swept param's values, in the config's order
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -142,14 +136,12 @@ def _typed(key: str, value):
         return int(value)
     if key in FLAG_KEYS:
         _require(type(value) is bool, f"'{key}' must be true or false, got {value!r}")
-    elif key in FLOAT_KEYS and not (key == "reg" and value is None):
+    elif key in FLOAT_KEYS:
         _require(type(value) in (int, float), f"'{key}' must be a number, got {value!r}")
         return float(value)
     elif key == "q":
-        if value == "zero":
-            return None
         numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-        _require(numbers, f"{Q_SPELLING}, got {value!r}")
+        _require(numbers, f"'q' must be a list of numbers, got {value!r}")
         return [float(v) for v in value]
     elif key in ("label", "preset"):
         _require(type(value) is str, f"'{key}' must be a string, got {value!r}")
@@ -192,24 +184,21 @@ def load_config(path) -> ExperimentConfig:
     solver = _object(raw.get("solver", {}), "solver", SOLVER_KEYS)
     solver_cfg = SolverConfig(schedules, **{key: _typed(key, v) for key, v in solver.items()})
 
-    axes: list[SweepAxis] = []
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        axis_specs = _object(sweep, "sweep", ("axes",)).get("axes")
+    axes: dict[str, list[float]] = {}
+    if "sweep" in raw:
+        axis_specs = _object(raw["sweep"], "sweep", ("axes",)).get("axes")
         _require(isinstance(axis_specs, list), "sweep needs an 'axes' list")
         for ax in axis_specs:
-            _object(ax, "sweep axis", ("param", "values"))
-            _require(ax.get("param") in SWEEPABLE, f"sweep param must be one of {SWEEPABLE}")
-            _require(all(a.param != ax["param"] for a in axes), f"sweep param {ax['param']!r} appears twice")
+            param = _object(ax, "sweep axis", ("param", "values")).get("param")
+            _require(param in SWEEPABLE, f"sweep param must be one of {SWEEPABLE}")
+            _require(param not in axes, f"sweep param {param!r} appears twice")
             values = ax.get("values")
             _require(isinstance(values, list) and len(values) > 0, "sweep axis needs a nonempty value list")
-            axes.append(SweepAxis(param=ax["param"], values=[_typed("values", v) for v in values]))
-            for v in axes[-1].values:
-                apply_sweep_point(schedules, {ax["param"]: v})  # rejects e.g. mu outside (0, 1)
+            axes[param] = [_typed("values", v) for v in values]
+            for v in axes[param]:
+                apply_sweep_point(schedules, {param: v})  # rejects e.g. mu outside (0, 1)
 
     params = _object(prob.get("params", {}), "params", PROBLEM_PARAMS[family])
-    # "zero" is the zero vector of affine_vi's dimension m; no other family has an m for it
-    _require(family == "affine_vi" or params.get("q") != "zero", f"{Q_SPELLING}, got 'zero'")
     return ExperimentConfig(
         seed=_typed("seed", raw.get("seed", 0)),
         family=family,
@@ -234,10 +223,9 @@ def _schedules_from_config(spec) -> ScheduleSet:
         for key, value in _object(spec, "schedules", SCHEDULE_KEYS).items()
         if key != "preset"
     }
-    name = spec.get("preset")
-    if name is None:
+    if "preset" not in spec:
         return ScheduleSet(**given)
-    base = preset(_typed("preset", name))
+    base = preset(_typed("preset", spec["preset"]))
     # the preset's name no longer describes an overridden set
     return replace(base, **{"label": "", **given}) if given else base
 
@@ -355,11 +343,9 @@ def cmd_solve(args) -> int:
     return EXIT_BY_STATUS[trace.status]
 
 
-def _grid_points(axes: list[SweepAxis]) -> list[dict[str, float]]:
-    points: list[dict[str, float]] = [{}]
-    for ax in axes:
-        points = [dict(pt, **{ax.param: v}) for pt in points for v in ax.values]
-    return points
+def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
+    """Every grid point, the last axis varying fastest."""
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> dict:
@@ -388,10 +374,10 @@ def cmd_sweep(args) -> int:
     rows = _sweep_rows(cfg, problem, points, min(cpus - 1, len(points) - 1))
     worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
 
-    key = ";".join(ax.param for ax in cfg.sweep_axes)
+    key = ";".join(cfg.sweep_axes)
     lines = [SWEEP_HEADER]
     for r in rows:
-        value = ";".join(repr(r["point"][ax.param]) for ax in cfg.sweep_axes)
+        value = ";".join(repr(r["point"][param]) for param in cfg.sweep_axes)
         lines.append(f"{key},{value},{r['iterations']},{r['status']},{r['final_metric']!r},{r['elapsed_s']:.6f}")
     _write(out / "sweep_summary.csv", "\n".join(lines) + "\n")
 
@@ -492,7 +478,7 @@ def _serve_points(claims: int, table, problem: Problem, solver_cfg: SolverConfig
             _store_row(table, i, row)
 
 
-def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
+def _trend_verdicts(axes: dict[str, list[float]], rows: list[dict]) -> dict:
     """Per-axis monotonicity of iteration counts along increasing values.
 
     Diverged points have no comparable iteration count: they are left out
@@ -501,12 +487,12 @@ def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
     finished = [r for r in rows if r["status"] != STATUS_DIVERGED]
     diverged = len(rows) - len(finished)
     verdicts = {}
-    for ax in axes:
-        others = [o for o in axes if o.param != ax.param]
+    for param in axes:
+        others = [o for o in axes if o != param]
         groups: dict[tuple, list[tuple[float, int]]] = {}
         for r in finished:
-            gkey = tuple(r["point"][o.param] for o in others)
-            groups.setdefault(gkey, []).append((r["point"][ax.param], r["iterations"]))
+            gkey = tuple(r["point"][o] for o in others)
+            groups.setdefault(gkey, []).append((r["point"][param], r["iterations"]))
         violations = 0
         comparisons = 0
         for series in groups.values():
@@ -514,7 +500,7 @@ def _trend_verdicts(axes: list[SweepAxis], rows: list[dict]) -> dict:
             iters = [it for _, it in series]
             comparisons += max(0, len(iters) - 1)
             violations += sum(1 for a, b in zip(iters, iters[1:]) if b > a)
-        verdicts[ax.param] = {
+        verdicts[param] = {
             "nonincreasing": violations == 0 and diverged == 0,
             "violations": violations,
             "comparisons": comparisons,

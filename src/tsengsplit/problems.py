@@ -63,16 +63,18 @@ def gen_lasso(
     n_cols: int = 512,
     noise_var: float = 1e-4,
     reg: float | None = None,
-    reg_scale: float = 0.01,
+    reg_scale: float | None = None,
 ) -> tuple[LassoInstance, Problem]:
     """Random sparse-recovery instance.
 
     Sensing matrix with standard normal entries, a k-sparse ground truth
     with support drawn without replacement and values uniform on [-1, 1],
     and per-component Gaussian noise of the given variance on the
-    measurements.  The l1 weight defaults to ``reg_scale * ||A^T y||_inf``
-    unless given explicitly.  Initial points are zero.  ``A`` is drawn
-    straight into 64-byte-aligned storage, which the forward map keeps as is.
+    measurements.  The l1 weight is ``reg`` if given, else ``reg_scale *
+    ||A^T y||_inf`` (``reg_scale`` 0.01 unless given); giving both is an
+    error, and so is a weight that is not positive and finite.  Initial
+    points are zero.  ``A`` is drawn straight into 64-byte-aligned storage,
+    which the forward map keeps as is.
 
     Returns the instance record with the problem: the sparse ground truth
     ``x_true`` is the one value the :class:`Problem` does not hold.
@@ -81,6 +83,9 @@ def gen_lasso(
         raise ValueError(f"need 0 < k < m_rows < n_cols, got ({k}, {m_rows}, {n_cols})")
     if not 0 <= noise_var < math.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
+    if reg is not None and reg_scale is not None:
+        raise ValueError("give reg or reg_scale, not both: reg_scale only derives reg")
+    reg_scale = 0.01 if reg_scale is None else reg_scale
     gen = rng.generator()
     a_mat = gen.standard_normal(out=aligned_empty((m_rows, n_cols)))
     support = gen.choice(n_cols, size=k, replace=False)
@@ -92,12 +97,10 @@ def gen_lasso(
     y = a_mat @ x_true
     if noise_var > 0:
         y = y + gen.normal(0.0, np.sqrt(noise_var), size=m_rows)
-    if reg is None:
-        reg_val = float(reg_scale * np.abs(a_mat.T @ y).max())
-    elif reg > 0:
-        reg_val = float(reg)
-    else:
-        raise ValueError("reg must be positive")
+    reg_val = float(reg_scale * np.abs(a_mat.T @ y).max()) if reg is None else float(reg)
+    if not 0 < reg_val < math.inf:
+        derived = "" if reg is not None else f" from reg_scale = {reg_scale}"
+        raise ValueError(f"the l1 weight reg must be positive and finite, got {reg_val}{derived}")
     return LassoInstance(a_mat=a_mat, y=y, x_true=x_true, reg=reg_val), Problem(
         forward=least_squares_gradient(a_mat, y),
         backward=soft_threshold_resolvent(reg_val),
@@ -106,39 +109,29 @@ def gen_lasso(
     )
 
 
-def gen_affine_vi(
-    rng: RngStream,
-    m: int = 50,
-    q: Vector | None = None,
-    identity: bool = False,
-) -> Problem:
+def gen_affine_vi(rng: RngStream, m: int = 50, q: Vector | None = None) -> Problem:
     """Affine variational inequality over the nonnegative orthant.
 
-    Unless ``identity`` is set, the matrix is ``N N^T + S + D`` with N and
-    the skew part S drawn entrywise uniform on (-5, 5) (S antisymmetrized
-    from a strictly upper-triangular draw) and D diagonal uniform on
-    (0, 0.3); this construction is positive definite.  With ``q`` omitted
-    the zero vector solves the problem and is registered as the oracle
-    solution.  The identity matrix with explicit ``q`` has the closed-form
-    solution ``max(0, -q)``, which is registered likewise.
+    The matrix is ``N N^T + S + D`` with N and the skew part S drawn
+    entrywise uniform on (-5, 5) (S antisymmetrized from a strictly
+    upper-triangular draw) and D diagonal uniform on (0, 0.3); this
+    construction is positive definite.  With ``q`` omitted the zero vector
+    solves the problem and is registered as the oracle solution.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    if identity:
-        m_mat = np.eye(m)
-    else:
-        n_mat = uniform_matrix(rng.child(0), m, m, -5.0, 5.0)
-        upper = np.triu(uniform_matrix(rng.child(1), m, m, -5.0, 5.0), k=1)
-        skew = upper - upper.T
-        diag = uniform_matrix(rng.child(2), 1, m, 0.0, 0.3)[0]
-        m_mat = n_mat @ n_mat.T + skew + np.diag(diag)
+    n_mat = uniform_matrix(rng.child(0), m, m, -5.0, 5.0)
+    upper = np.triu(uniform_matrix(rng.child(1), m, m, -5.0, 5.0), k=1)
+    skew = upper - upper.T
+    diag = uniform_matrix(rng.child(2), 1, m, 0.0, 0.3)[0]
+    m_mat = n_mat @ n_mat.T + skew + np.diag(diag)
 
     if q is None:
         q_vec = np.zeros(m)
         known = np.zeros(m)
     else:
         q_vec = as_vector(q, name="q")
-        known = np.maximum(0.0, -q_vec) if identity else None
+        known = None
 
     return _orthant_vi(affine_forward(m_mat, q_vec), m, known, f"affine_vi(m={m},seed={rng.seed})")
 

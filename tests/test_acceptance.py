@@ -411,7 +411,7 @@ def test_criterion_12_reproducibility(tmp_path):
     config = {
         "version": 1,
         "seed": 7,
-        "problem": {"family": "affine_vi", "params": {"m": 50, "q": "zero"}},
+        "problem": {"family": "affine_vi", "params": {"m": 50}},
         "schedules": {"preset": "paper_default", "mu_seq": {"kind": "constant", "value": 0.0}},
         "solver": {"max_iters": 60000, "tol": 1e-3, "stop_rule": "iterate_norm", "record_distance": True},
     }

@@ -94,11 +94,6 @@ def test_affine_vi_monotone_on_samples():
         assert inner(prob.forward(x) - prob.forward(y), x - y) >= -1e-8 * norm(x - y) ** 2
 
 
-def test_affine_vi_identity_oracle():
-    prob = gen_affine_vi(RngStream(11), m=2, q=np.array([-1.0, 1.0]), identity=True)
-    assert np.allclose(prob.known_solution, [1.0, 0.0])
-
-
 # --- integral-constraint VI on a grid ----------------------------------------------
 
 
@@ -181,11 +176,10 @@ def test_oracle_strong_solver_and_certificate():
     [
         lambda: gen_lasso(RngStream(23))[1],
         lambda: gen_affine_vi(RngStream(24), m=50),
-        lambda: gen_affine_vi(RngStream(25), m=7, q=np.ones(7), identity=True),
         lambda: gen_oracle_strong(RngStream(26), m=10),
         lambda: oracle_orthant_vi(np.array([-2.0, 0.5, 1.0])),
     ],
-    ids=["lasso", "affine_vi", "affine_vi_identity", "oracle_strong", "oracle_orthant"],
+    ids=["lasso", "affine_vi", "oracle_strong", "oracle_orthant"],
 )
 def test_forward_matrix_is_stored_on_a_cache_line(build):
     mat = forward_matrix(build().forward)

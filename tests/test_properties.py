@@ -53,7 +53,7 @@ from tsengsplit import (
     write_trace_csv,
     write_trace_jsonl,
 )
-from tsengsplit.cli import main
+from tsengsplit.cli import build_problem, load_config, main
 
 # derandomized, so every run of the suite checks the same examples
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -181,7 +181,7 @@ SEQUENCES = (
 PRESETS = st.sampled_from(["paper_default", "tseng_plain", "chc_relaxed", "akh"])
 BASE_PARAMS = {
     "lasso": {"k": 3, "m_rows": 16, "n_cols": 32},
-    "affine_vi": {"m": 8, "q": "zero"},
+    "affine_vi": {"m": 8},
     "l2_vi": {"m": 16, "case": 1},
     "oracle_strong": {"m": 6, "rho": 1.0},
     "oracle_orthant": {"q": [-1.0, 1.0]},
@@ -193,7 +193,7 @@ FUZZ = {
     "params": {
         **{key: DIMS for key in ("k", "m_rows", "n_cols", "m", "case")},
         "q": st.just("zero") | st.lists(NUMBERS, max_size=64) | JUNK,
-        **{key: VALUES for key in ("noise_var", "reg", "reg_scale", "identity", "rho", "rh0")},
+        **{key: VALUES for key in ("noise_var", "reg", "reg_scale", "rho", "rh0")},
     },
     "schedules": {
         "preset": PRESETS | JUNK,
@@ -206,6 +206,27 @@ FUZZ = {
         **{key: VALUES for key in ("tol", "assert_descent", "record_distance", "max_iter")},
     },
 }
+
+
+def base_config(family: str, preset: str) -> dict:
+    """The valid config of ``family`` that the fuzz test edits."""
+    return {
+        "version": 1,
+        "seed": 3,
+        "problem": {"family": family, "params": dict(BASE_PARAMS[family])},
+        "schedules": {"preset": preset},
+        "solver": {"tol": 1e-8, "record_distance": True},
+    }
+
+
+@pytest.mark.parametrize("family", sorted(BASE_PARAMS))
+def test_each_fuzz_base_loads_and_builds(family, tmp_path):
+    # a base the reader refuses would make every fuzzed example of its family a refusal, which passes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(family, "paper_default")), encoding="utf-8")
+    build_problem(load_config(path))
+
+
 EDITS = st.sampled_from([(section, key) for section, keys in FUZZ.items() for key in keys]).flatmap(
     lambda where: st.tuples(st.just(where), FUZZ[where[0]][where[1]])
 )
@@ -220,15 +241,9 @@ EDITS = st.sampled_from([(section, key) for section, keys in FUZZ.items() for ke
 @example(family="affine_vi", preset="tseng_plain", edits=[(("schedules", "beta"), 1.0)])
 def test_fuzzed_config_keeps_the_exit_code_contract(family, preset, edits):
     # a valid config with up to three entries overwritten by fuzzed values
-    params = dict(BASE_PARAMS[family])
-    cfg = {
-        "version": 1,
-        "seed": 3,
-        "problem": {"family": family, "params": params},
-        "schedules": {"preset": preset},
-        "solver": {"tol": 1e-8, "record_distance": True},
-    }
-    sections = {None: cfg, "problem": cfg["problem"], "params": params, "schedules": cfg["schedules"], "solver": cfg["solver"]}
+    cfg = base_config(family, preset)
+    problem = cfg["problem"]
+    sections = {None: cfg, "problem": problem, "params": problem["params"], "schedules": cfg["schedules"], "solver": cfg["solver"]}
     for (section, key), value in edits:
         sections[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
