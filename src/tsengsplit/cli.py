@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .linalg import RngStream, norm
@@ -224,6 +224,8 @@ def _schedules_from_config(spec) -> ScheduleSet:
         if key != "preset"
     }
     if "preset" not in spec:
+        missing = [f.name for f in fields(ScheduleSet) if f.default is MISSING and f.name not in given]
+        _require(not missing, f"missing key(s) in 'schedules': {', '.join(missing)} (a 'preset' supplies them)")
         return ScheduleSet(**given)
     base = preset(_typed("preset", spec["preset"]))
     # the preset's name no longer describes an overridden set
@@ -348,19 +350,14 @@ def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
-def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> dict:
-    """The row of one grid point, solved on ``problem``; a row holds no
-    distance to the solution, so none is recorded."""
+def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> tuple:
+    """The row ``(iterations, final_metric, elapsed_s, status)`` of one grid
+    point, solved on ``problem``; a row holds no distance to the solution,
+    so none is recorded."""
     run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point), record_distance=False)
     _, trace, _, elapsed = _timed_solve(problem, run_cfg)
     summary = trace.summary()
-    return {
-        "point": point,
-        "iterations": summary["iterations"],
-        "status": summary["status"],
-        "final_metric": summary["final_metric"] if trace.rows else float("nan"),
-        "elapsed_s": elapsed,
-    }
+    return summary["iterations"], summary["final_metric"] if trace.rows else float("nan"), elapsed, summary["status"]
 
 
 def cmd_sweep(args) -> int:
@@ -372,16 +369,16 @@ def cmd_sweep(args) -> int:
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     rows = _sweep_rows(cfg, problem, points, min(cpus - 1, len(points) - 1))
-    worst = max(EXIT_BY_STATUS[r["status"]] for r in rows)
+    worst = max(EXIT_BY_STATUS[status] for *_, status in rows)
 
     key = ";".join(cfg.sweep_axes)
     lines = [SWEEP_HEADER]
-    for r in rows:
-        value = ";".join(repr(r["point"][param]) for param in cfg.sweep_axes)
-        lines.append(f"{key},{value},{r['iterations']},{r['status']},{r['final_metric']!r},{r['elapsed_s']:.6f}")
+    for point, (iterations, metric, elapsed, status) in zip(points, rows):
+        value = ";".join(map(repr, point.values()))
+        lines.append(f"{key},{value},{iterations},{status},{metric!r},{elapsed:.6f}")
     _write(out / "sweep_summary.csv", "\n".join(lines) + "\n")
 
-    trends = _trend_verdicts(cfg.sweep_axes, rows)
+    trends = _trend_verdicts(cfg.sweep_axes, points, rows)
     _write(out / "sweep_trends.json", json.dumps(trends, indent=2) + "\n")
     if not args.quiet:
         print(json.dumps(trends, indent=2))
@@ -392,7 +389,7 @@ ROW_FIELDS = 4  # a sweep row as doubles: iterations, final_metric, elapsed_s, 1
 STATUSES = tuple(EXIT_BY_STATUS)
 
 
-def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: int) -> list[dict]:
+def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: int) -> list[tuple]:
     """The rows of every grid point, solved by this process and ``helpers``
     forked copies of it side by side (none: this process solves them all).
 
@@ -447,18 +444,11 @@ def _sweep_rows(cfg: ExperimentConfig, problem: Problem, points: list, helpers: 
                 os.waitpid(pid, 0)
     stored = [table[ROW_FIELDS * i : ROW_FIELDS * (i + 1)] for i in range(len(points))]
     return [
-        {"point": point, "iterations": int(n), "status": STATUSES[int(s) - 1], "final_metric": m, "elapsed_s": e}
+        (int(n), m, e, STATUSES[int(s) - 1])
         if s > 0
         else _sweep_row(problem, cfg.solver, point)  # missing or raised: solved here, so a raise surfaces in grid order
         for point, (n, m, e, s) in zip(points, stored)
     ]
-
-
-def _store_row(table, i: int, row: dict) -> None:
-    """Put ``row`` at grid index ``i`` of the table, its status last: a row counts once it is set."""
-    at = ROW_FIELDS * i
-    table[at], table[at + 1], table[at + 2] = row["iterations"], row["final_metric"], row["elapsed_s"]
-    table[at + 3] = STATUSES.index(row["status"]) + 1
 
 
 def _serve_points(claims: int, table, problem: Problem, solver_cfg: SolverConfig, points: list, alive) -> None:
@@ -466,33 +456,36 @@ def _serve_points(claims: int, table, problem: Problem, solver_cfg: SolverConfig
     from the claim file ``claims``, until its claims run out or ``alive()``
     fails (a sweep killed by a signal runs no ``finally`` and kills no
     helper, so a helper checks before each claim that its sweep is still its
-    parent).  A point whose solve raises gets the status -1 and the loop
-    goes on."""
+    parent).  A row's status goes in last: a row counts once it is set.  A
+    point whose solve raises gets the status -1 and the loop goes on."""
     while alive() and (claim := os.read(claims, 4)):
         i = int.from_bytes(claim, "little")
+        at = ROW_FIELDS * i
         try:
             row = _sweep_row(problem, solver_cfg, points[i])
         except Exception:  # the sweep solves the point again and raises its error
-            table[ROW_FIELDS * i + 3] = -1
+            table[at + 3] = -1
         else:
-            _store_row(table, i, row)
+            table[at], table[at + 1], table[at + 2] = row[:3]
+            table[at + 3] = STATUSES.index(row[3]) + 1
 
 
-def _trend_verdicts(axes: dict[str, list[float]], rows: list[dict]) -> dict:
-    """Per-axis monotonicity of iteration counts along increasing values.
+def _trend_verdicts(axes: dict[str, list[float]], points: list[dict[str, float]], rows: list[tuple]) -> dict:
+    """Per-axis monotonicity of iteration counts along increasing values,
+    ``rows`` being the sweep rows of ``points``.
 
     Diverged points have no comparable iteration count: they are left out
     of the comparisons, counted, and make the axis verdict false.
     """
-    finished = [r for r in rows if r["status"] != STATUS_DIVERGED]
+    finished = [(point, row[0]) for point, row in zip(points, rows) if row[3] != STATUS_DIVERGED]
     diverged = len(rows) - len(finished)
     verdicts = {}
     for param in axes:
         others = [o for o in axes if o != param]
         groups: dict[tuple, list[tuple[float, int]]] = {}
-        for r in finished:
-            gkey = tuple(r["point"][o] for o in others)
-            groups.setdefault(gkey, []).append((r["point"][param], r["iterations"]))
+        for point, iterations in finished:
+            gkey = tuple(point[o] for o in others)
+            groups.setdefault(gkey, []).append((point[param], iterations))
         violations = 0
         comparisons = 0
         for series in groups.values():
@@ -529,7 +522,8 @@ def cmd_certify(args) -> int:
             report = certify_sqrt_rate(trace)
         else:
             report = certify_linear_rate(trace, q_bound=args.q_bound)
-        text = report.to_json()  # refuses a ratio that overflowed, which JSON cannot hold
+        # refuses a ratio that overflowed, which JSON cannot hold
+        text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
     except ValueError as err:
         print(f"certificate not applicable: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -396,21 +396,29 @@ def contraction_factor(tau: float, alpha: float, beta: float, theta: float) -> f
     return (1.0 + beta) + theta * (tau * (1.0 + alpha) - (1.0 + beta))
 
 
-def _c3_holds(s: ScheduleSet, L: float, r: float) -> bool:
-    """Clause c3 in the reals, on the float inputs as exact rationals.
+def _strong_bounds(mu, lambda1, alpha, beta, L, r) -> tuple:
+    """``(lambda_hat, tau, c1_cap, c2_cap, lower, quad)``: ``lower`` bounds
+    theta (``inf`` when a denominator is not positive), ``quad`` leads the
+    c3 quadratic.  Floats give the report; :class:`Fraction` inputs, the
+    exact c3 verdict."""
+    lam_hat = min(mu / L, lambda1)
+    tau = 1 - min(1 - mu, 2 * lam_hat * r) / 2
+    lower1 = (1 - beta) / (1 + alpha - beta) if 1 + alpha - beta > 0 else math.inf
+    denom = 1 + beta - tau * (1 + alpha)
+    lower2 = beta / denom if denom > 0 else math.inf
+    gap = 1 / tau - 1
+    return lam_hat, tau, gap / 2, (1 - tau) / tau, max(lower1, lower2), gap - 2 * beta
 
-    ``tau`` and both lower bounds are rational in the inputs.  Every theta
-    above the (positive) lower bound lies above the smaller root of
-    ``quad*t^2 + (1+b)*t + (b-1)``, so it is at most the larger root
-    exactly when that quadratic is not positive at theta.
-    """
-    L, r, mu, lam1, a, b, th = map(Fraction, (L, r, s.mu, s.lambda1, s.alpha.value, s.beta.value, s.theta.value))
-    tau = 1 - min(1 - mu, 2 * min(mu / L, lam1) * r) / 2
-    quad = 1 / tau - 1 - 2 * b
-    if not (quad > 0 and 1 + a - b > 0 and 1 + b - tau * (1 + a) > 0 and th <= 1):
-        return False
-    lower = max((1 - b) / (1 + a - b), b / (1 + b - tau * (1 + a)))
-    return lower < th and (quad * th + 1 + b) * th + b - 1 <= 0
+
+def _c3_holds(exact: tuple, beta: float, theta: float) -> bool:
+    """Clause c3 in the reals from ``exact``, :func:`_strong_bounds` of the
+    float inputs as exact rationals.  Every theta above the (positive) lower
+    bound lies above the smaller root of ``quad*t^2 + (1+b)*t + (b-1)``, so
+    it is at most the larger root exactly when that quadratic is not
+    positive at theta."""
+    *_, lower, quad = exact
+    b, th = Fraction(beta), Fraction(theta)
+    return quad > 0 and lower < th <= 1 and (quad * th + 1 + b) * th + b - 1 <= 0
 
 
 def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
@@ -433,25 +441,16 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
         raise ValueError("the strong regime needs constant alpha, beta and theta")
     if not (0.0 < L < math.inf and 0.0 < r < math.inf):
         raise ValueError(f"L and r must be positive and finite, got L = {L}, r = {r}")
-    lam_hat = min(s.mu / L, s.lambda1)
-    tau = 1.0 - 0.5 * min(1.0 - s.mu, 2.0 * lam_hat * r)
     a, b, th = s.alpha.value, s.beta.value, s.theta.value
+    lam_hat, tau, c1_cap, c2_cap, lower, quad = _strong_bounds(s.mu, s.lambda1, a, b, L, r)
     clauses: list[ClauseResult] = []
 
-    c1_cap = 0.5 * (1.0 / tau - 1.0)
     ok1 = 0.0 <= b < c1_cap
     clauses.append(ClauseResult("c1", ok1, None if ok1 else 1, f"beta = {b:.6g} vs cap {c1_cap:.6g}"))
 
-    c2_cap = (1.0 - tau) / tau
     ok2 = 0.0 <= a < c2_cap
     clauses.append(ClauseResult("c2", ok2, None if ok2 else 1, f"alpha = {a:.6g} vs cap {c2_cap:.6g}"))
 
-    lower1 = (1.0 - b) / (1.0 + a - b) if 1.0 + a - b > 0.0 else math.inf
-    denom = 1.0 + b - tau * (1.0 + a)
-    lower2 = b / denom if denom > 0.0 else math.inf
-    lower = max(lower1, lower2)
-
-    quad = 1.0 / tau - 1.0 - 2.0 * b
     interval: tuple[float, float] | None = None
     if quad > 0.0:
         disc = (1.0 + b) ** 2 - 4.0 * quad * (b - 1.0)
@@ -466,7 +465,7 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
     else:
         in_floats = False
         detail = f"beta cap violated: 1/tau - 1 - 2*beta = {quad:.6g} <= 0"
-    ok3 = _c3_holds(s, L, r)
+    ok3 = _c3_holds(_strong_bounds(*map(Fraction, (s.mu, s.lambda1, a, b, L, r))), b, th)
     if ok3 != in_floats:  # the float bounds are rounded: say which side the reals put theta on
         detail += f"; in exact arithmetic theta is {'' if ok3 else 'not '}admissible"
     clauses.append(ClauseResult("c3", ok3, None if ok3 else 1, detail))
@@ -501,9 +500,9 @@ def find_feasible_strong(
                     if interval is None:
                         continue
                     lo, hi = interval
-                    top = hi
+                    exact, top = _strong_bounds(*map(Fraction, (mu, lam1, a, b, L, r))), hi
                     for _ in range(64):  # the float root lies ulps off: 20,000 random sets took at most 5 steps
-                        if _c3_holds(replace(probe, theta=constant(top)), L, r):
+                        if _c3_holds(exact, b, top):
                             break
                         top = math.nextafter(top, lo)
                     for th in (0.5 * (lo + hi), top):

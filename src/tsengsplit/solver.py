@@ -366,9 +366,6 @@ class RateReport:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "passed": self.passed, "details": self.details}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
-
 
 def certify_sqrt_rate(trace: SolverTrace) -> RateReport:
     """Check that the best fixed-point residual decays like ``1/sqrt(n)``.

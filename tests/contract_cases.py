@@ -116,7 +116,12 @@ MALFORMED = {
     # without a preset, theta has no default: theta_n = 0 would never apply the forward-backward step
     "schedules_without_theta": refused(
         json.dumps({**ORTHANT, "schedules": {"mu": 0.9, "lambda1": 0.1}}),
-        "required keyword-only argument: 'theta'",
+        "missing key(s) in 'schedules': theta (a 'preset' supplies them)",
+        base=None,
+    ),
+    "schedules_empty": refused(
+        json.dumps({**ORTHANT, "schedules": {}}),
+        "missing key(s) in 'schedules': theta, mu, lambda1 (a 'preset' supplies them)",
         base=None,
     ),
     # json.loads would keep the last of the two values, so a setting would have two spellings

@@ -600,6 +600,29 @@ def no_fork():
     raise AssertionError("a helper was forked")
 
 
+class StoreLog:
+    """A sweep table that calls ``on_store(i)`` once a row is stored at grid
+    index ``i``: its status goes in last, and a raised point's -1 stores none."""
+
+    def __init__(self, table, on_store):
+        self.table, self.on_store = table, on_store
+
+    def __setitem__(self, at, value):
+        self.table[at] = value
+        if at % cli.ROW_FIELDS == cli.ROW_FIELDS - 1 and value > 0:
+            self.on_store(at // cli.ROW_FIELDS)
+
+
+def observed_stores(on_store):
+    """A ``_serve_points`` that stores through a :class:`StoreLog`, in this process and its helpers."""
+    real_serve = cli._serve_points
+
+    def serve(claims, table, *args):
+        real_serve(claims, StoreLog(table, on_store), *args)
+
+    return serve
+
+
 @pytest.fixture
 def wide_sweep(tmp_path):
     """The config and the serial run's outputs: on one CPU no helper is forked."""
@@ -633,18 +656,17 @@ def test_each_point_is_claimed_and_solved_exactly_once(cpus, tmp_path, monkeypat
         serial = run_sweep(cfg, tmp_path / "serial", mp, cpus=1)[:3]
     index = {point["theta"]: i for i, point in enumerate(cli._grid_points(cli.load_config(cfg).sweep_axes))}
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_APPEND | os.O_CREAT)  # shared by the helpers
-    real_row, real_store = cli._sweep_row, cli._store_row
+    real_row = cli._sweep_row
 
     def logged_row(problem, solver_cfg, point):
         os.write(log, f"solved {os.getpid()} {index[point['theta']]}\n".encode())
         return real_row(problem, solver_cfg, point)
 
-    def logged_store(table, i, row):
+    def logged_store(i):
         os.write(log, f"stored {os.getpid()} {i}\n".encode())
-        real_store(table, i, row)
 
     monkeypatch.setattr(cli, "_sweep_row", logged_row)
-    monkeypatch.setattr(cli, "_store_row", logged_store)
+    monkeypatch.setattr(cli, "_serve_points", observed_stores(logged_store))
     try:
         wide = run_sweep(cfg, tmp_path / "wide", monkeypatch, cpus)[:3]
     finally:
@@ -752,14 +774,14 @@ def test_a_helper_writes_no_output_it_inherited(tmp_path):
 
 # a sweep on 2 mocked CPUs whose points take ORPHAN_POINT_S each; it prints
 # its helper's pid and kills itself with SIGKILL, which runs no ``finally``,
-# right after it stores its first row
+# right after ``_serve_points`` stores its first row
 ORPHAN_POINT_S = 0.5
 ORPHAN_SWEEP = """
 import os, signal, sys, time
 from tsengsplit import cli
 
 os.sched_getaffinity = lambda pid: {0, 1}
-sweep, fork, row, store = os.getpid(), os.fork, cli._sweep_row, cli._store_row
+sweep, fork, row, serve = os.getpid(), os.fork, cli._sweep_row, cli._serve_points
 
 
 def recorded_fork():
@@ -774,13 +796,21 @@ def slow_row(*args):
     return row(*args)
 
 
-def store_then_die(*args):
-    store(*args)
-    if os.getpid() == sweep:
-        os.kill(sweep, signal.SIGKILL)
+class DieAfterStore:
+    def __init__(self, table):
+        self.table = table
+
+    def __setitem__(self, at, value):
+        self.table[at] = value
+        if at %% cli.ROW_FIELDS == cli.ROW_FIELDS - 1 and value > 0 and os.getpid() == sweep:
+            os.kill(sweep, signal.SIGKILL)
 
 
-os.fork, cli._sweep_row, cli._store_row = recorded_fork, slow_row, store_then_die
+def serve_then_die(claims, table, *args):
+    serve(claims, DieAfterStore(table), *args)
+
+
+os.fork, cli._sweep_row, cli._serve_points = recorded_fork, slow_row, serve_then_die
 cli.main(sys.argv[1:])
 """ % ORPHAN_POINT_S
 
@@ -894,15 +924,14 @@ def test_a_helper_whose_point_raises_serves_on(wide_sweep, tmp_path, monkeypatch
     cfg, _ = wide_sweep
     points = cli._grid_points(cli.load_config(cfg).sweep_axes)
     raising, stored, pids, held = tmp_path / "raising", tmp_path / "stored", [], []
-    real_fork, real_row, real_store, parent = os.fork, cli._sweep_row, cli._store_row, os.getpid()
+    real_fork, real_row, parent = os.fork, cli._sweep_row, os.getpid()
 
     def fork():
         pid = real_fork()
         pids.append(pid)
         return pid
 
-    def store(table, i, row):
-        real_store(table, i, row)
+    def store(i):
         with open(stored, "a") as log:
             log.write(f"{os.getpid()} {i}\n")
 
@@ -925,7 +954,7 @@ def test_a_helper_whose_point_raises_serves_on(wide_sweep, tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "_sweep_row", row)
-    monkeypatch.setattr(cli, "_store_row", store)
+    monkeypatch.setattr(cli, "_serve_points", observed_stores(store))
     with pytest.raises(RuntimeError) as err:
         run_sweep(cfg, tmp_path / "err", monkeypatch, cpus=2)
     assert str(err.value) == f"failed at {points[int(raising.read_text())]}"

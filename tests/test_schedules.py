@@ -433,6 +433,23 @@ def test_strong_feasible_interval_inside_unit():
     assert qs == sorted(qs)
 
 
+def reference_strong_floats(s, L, r):
+    """``(tau, lambda_hat, theta_interval, q)`` of the strong report, each
+    written out as its own float formula."""
+    a, b, th = s.alpha.value, s.beta.value, s.theta.value
+    lam_hat = min(s.mu / L, s.lambda1)
+    tau = 1.0 - 0.5 * min(1.0 - s.mu, 2.0 * lam_hat * r)
+    lower1 = (1.0 - b) / (1.0 + a - b) if 1.0 + a - b > 0.0 else math.inf
+    denom = 1.0 + b - tau * (1.0 + a)
+    lower = max(lower1, b / denom if denom > 0.0 else math.inf)
+    quad = 1.0 / tau - 1.0 - 2.0 * b
+    interval = None
+    if quad > 0.0:
+        upper = min((-(1.0 + b) + math.sqrt((1.0 + b) ** 2 - 4.0 * quad * (b - 1.0))) / (2.0 * quad), 1.0)
+        interval = (lower, upper) if lower < upper else None
+    return tau, lam_hat, interval, (1.0 + b) + th * (tau * (1.0 + a) - (1.0 + b))
+
+
 def test_strong_interval_always_inside_unit_when_nonempty():
     g = np.random.default_rng(77)
     for _ in range(300):
@@ -448,6 +465,12 @@ def test_strong_interval_always_inside_unit_when_nonempty():
         if rep.theta_interval is not None:
             lo, hi = rep.theta_interval
             assert 0.0 < lo < hi <= 1.0
+        # bit for bit: float.hex tells 0.0 from -0.0
+        tau, lam_hat, interval, q = reference_strong_floats(s, L, r)
+        assert [x.hex() for x in (rep.tau, rep.lambda_hat, rep.q)] == [x.hex() for x in (tau, lam_hat, q)]
+        assert (rep.theta_interval is None) == (interval is None)
+        if interval is not None:
+            assert [x.hex() for x in rep.theta_interval] == [x.hex() for x in interval]
 
 
 def test_strong_report_serializes():
