@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count, product, repeat
 from typing import Callable, Iterator
 
 
@@ -400,7 +400,9 @@ def _strong_bounds(mu, lambda1, alpha, beta, L, r) -> tuple:
     """``(lambda_hat, tau, c1_cap, c2_cap, lower, quad)``: ``lower`` bounds
     theta (``inf`` when a denominator is not positive), ``quad`` leads the
     c3 quadratic.  Floats give the report; :class:`Fraction` inputs, the
-    exact c3 verdict."""
+    exact c3 verdict.  ``L`` and ``r`` must be positive and finite."""
+    if not (0 < L < math.inf and 0 < r < math.inf):
+        raise ValueError(f"L and r must be positive and finite, got L = {L}, r = {r}")
     lam_hat = min(mu / L, lambda1)
     tau = 1 - min(1 - mu, 2 * lam_hat * r) / 2
     lower1 = (1 - beta) / (1 + alpha - beta) if 1 + alpha - beta > 0 else math.inf
@@ -408,6 +410,12 @@ def _strong_bounds(mu, lambda1, alpha, beta, L, r) -> tuple:
     lower2 = beta / denom if denom > 0 else math.inf
     gap = 1 / tau - 1
     return lam_hat, tau, gap / 2, (1 - tau) / tau, max(lower1, lower2), gap - 2 * beta
+
+
+def _theta_upper(beta: float, quad: float) -> float:
+    """The float theta interval's upper end: c3's larger root (``quad > 0``), clipped to 1."""
+    disc = (1.0 + beta) ** 2 - 4.0 * quad * (beta - 1.0)
+    return min((-(1.0 + beta) + math.sqrt(disc)) / (2.0 * quad), 1.0)
 
 
 def _c3_holds(exact: tuple, beta: float, theta: float) -> bool:
@@ -439,8 +447,6 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
     """
     if not all(seq.kind == "constant" for seq in (s.alpha, s.beta, s.theta)):
         raise ValueError("the strong regime needs constant alpha, beta and theta")
-    if not (0.0 < L < math.inf and 0.0 < r < math.inf):
-        raise ValueError(f"L and r must be positive and finite, got L = {L}, r = {r}")
     a, b, th = s.alpha.value, s.beta.value, s.theta.value
     lam_hat, tau, c1_cap, c2_cap, lower, quad = _strong_bounds(s.mu, s.lambda1, a, b, L, r)
     clauses: list[ClauseResult] = []
@@ -453,11 +459,8 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
 
     interval: tuple[float, float] | None = None
     if quad > 0.0:
-        disc = (1.0 + b) ** 2 - 4.0 * quad * (b - 1.0)
-        upper_root = (-(1.0 + b) + math.sqrt(disc)) / (2.0 * quad)
-        upper = min(upper_root, 1.0)
-        if lower < upper:
-            interval = (lower, upper)
+        upper = _theta_upper(b, quad)
+        interval = (lower, upper) if lower < upper else None
         in_floats = lower < th <= upper
         detail = f"admissible theta interval ({lower:.6g}, {upper:.6g}], theta = {th:.6g}"
         if interval is None:
@@ -491,25 +494,21 @@ def find_feasible_strong(
     are sorted by contraction factor, best first.
     """
     found: list[tuple[ScheduleSet, StrongReport]] = []
-    for mu in mu_grid:
-        for lam1 in lambda1_grid:
-            for a in alpha_grid:
-                for b in beta_grid:
-                    probe = ScheduleSet(alpha=constant(a), beta=constant(b), theta=constant(0.5), mu=mu, lambda1=lam1)
-                    interval = validate_strong(probe, L, r).theta_interval
-                    if interval is None:
-                        continue
-                    lo, hi = interval
-                    exact, top = _strong_bounds(*map(Fraction, (mu, lam1, a, b, L, r))), hi
-                    for _ in range(64):  # the float root lies ulps off: 20,000 random sets took at most 5 steps
-                        if _c3_holds(exact, b, top):
-                            break
-                        top = math.nextafter(top, lo)
-                    for th in (0.5 * (lo + hi), top):
-                        cand = replace(probe, theta=constant(th))
-                        rep = validate_strong(cand, L, r)
-                        if rep.passed:
-                            found.append((cand, rep))
+    for mu, lam1, a, b in product(mu_grid, lambda1_grid, alpha_grid, beta_grid):
+        probe = ScheduleSet(alpha=constant(a), beta=constant(b), theta=constant(0.5), mu=mu, lambda1=lam1)
+        *_, lo, quad = _strong_bounds(mu, lam1, probe.alpha.value, probe.beta.value, L, r)
+        if not (quad > 0.0 and lo < (hi := _theta_upper(probe.beta.value, quad))):
+            continue  # an empty float interval: no candidate, and no exact arithmetic
+        exact, top = _strong_bounds(*map(Fraction, (mu, lam1, a, b, L, r))), hi
+        for _ in range(64):  # the float root lies ulps off: 20,000 random sets took at most 5 steps
+            if _c3_holds(exact, b, top):
+                break
+            top = math.nextafter(top, lo)
+        for th in (0.5 * (lo + hi), top):
+            cand = replace(probe, theta=constant(th))
+            rep = validate_strong(cand, L, r)
+            if rep.passed:
+                found.append((cand, rep))
     found.sort(key=lambda pr: pr[1].q)
     return found
 

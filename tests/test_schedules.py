@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tsengsplit import schedules
 from tsengsplit import (
     DivergenceError,
     RngStream,
@@ -412,15 +414,19 @@ def test_strong_tau_near_one_kills_beta():
     assert not rep.clause("c1").passed
 
 
+# 120 points; 6 of them have a nonempty float theta interval
+UNIT_GRID = dict(
+    L=1.4,
+    r=1.0,
+    mu_grid=[0.3, 0.4, 0.5],
+    lambda1_grid=[0.3, 0.5],
+    alpha_grid=[0.1 * i for i in range(10)],
+    beta_grid=[0.0, 0.02],
+)
+
+
 def test_strong_feasible_interval_inside_unit():
-    found = find_feasible_strong(
-        L=1.4,
-        r=1.0,
-        mu_grid=[0.3, 0.4, 0.5],
-        lambda1_grid=[0.3, 0.5],
-        alpha_grid=[0.1 * i for i in range(10)],
-        beta_grid=[0.0, 0.02],
-    )
+    found = find_feasible_strong(**UNIT_GRID)
     assert found, "expected at least one feasible parameter set"
     for s, rep in found:
         lo, hi = rep.theta_interval
@@ -431,6 +437,84 @@ def test_strong_feasible_interval_inside_unit():
         assert validate_strong(s, L=1.4, r=1.0) == rep  # the returned set is the one judged
     qs = [rep.q for _, rep in found]
     assert qs == sorted(qs)
+
+
+def test_strong_search_does_exact_arithmetic_only_where_the_float_interval_is_nonempty(monkeypatch):
+    real = schedules._strong_bounds
+    calls = {"float": 0, "exact": 0}
+
+    def counted(*args):
+        calls["exact" if isinstance(args[0], Fraction) else "float"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(schedules, "_strong_bounds", counted)
+    find_feasible_strong(**UNIT_GRID)
+    # each of the 6 nonempty points: the nextafter search, then one verdict per candidate
+    assert calls == {"float": 120 + 6 * 2, "exact": 6 * 3}
+
+
+def probing_search(L, r, mu_grid, lambda1_grid, alpha_grid, beta_grid):
+    """:func:`find_feasible_strong` written with a theta = 0.5 probe
+    :func:`validate_strong` per grid point, its exact verdict unused."""
+    found = []
+    for mu, lam1, a, b in itertools.product(mu_grid, lambda1_grid, alpha_grid, beta_grid):
+        probe = strong_set(mu, lam1, a, b, 0.5)
+        interval = validate_strong(probe, L, r).theta_interval
+        if interval is None:
+            continue
+        lo, hi = interval
+        top = hi
+        for _ in range(64):
+            if validate_strong(replace(probe, theta=constant(top)), L, r).clause("c3").passed:
+                break
+            top = math.nextafter(top, lo)
+        for th in (0.5 * (lo + hi), top):
+            cand = replace(probe, theta=constant(th))
+            rep = validate_strong(cand, L, r)
+            if rep.passed:
+                found.append((cand, rep))
+    found.sort(key=lambda pr: pr[1].q)
+    return found
+
+
+def test_strong_search_matches_a_search_that_probes_each_point():
+    g = np.random.default_rng(30)
+    nonempty = 0
+    for seed in range(40):
+        if seed % 2:  # oracle_strong's L is not round, so its float bounds rarely round exactly
+            prob = gen_oracle_strong(RngStream(seed), m=3, rho=float(g.uniform(0.2, 2.0)))
+            L, r = prob.forward.lipschitz, prob.forward.strong_monotone_modulus
+        else:
+            L = float(g.uniform(0.5, 5.0))
+            r = L * float(g.uniform(0.05, 1.0))
+        grid = (
+            g.uniform(0.05, 0.95, 2).tolist(),
+            g.uniform(0.01, 2.0, 2).tolist(),
+            (g.uniform(0.0, 0.05) + 0.05 * np.arange(20)).tolist(),
+            [0.0, *g.uniform(0.0, 0.2, 2).tolist()],
+        )
+        got, want = find_feasible_strong(L, r, *grid), probing_search(L, r, *grid)
+        assert [(s.to_dict(), rep.to_dict()) for s, rep in got] == [(s.to_dict(), rep.to_dict()) for s, rep in want]
+        nonempty += bool(want)
+    assert nonempty >= 20  # most grids return sets, so the comparison is not of empty lists
+
+
+@pytest.mark.parametrize(
+    "L, r, mu, message",
+    [
+        (math.inf, 1.0, 0.5, "L and r must be positive and finite, got L = inf, r = 1.0"),
+        (0.0, 1.0, 0.5, "L and r must be positive and finite, got L = 0.0, r = 1.0"),
+        (1.4, math.nan, 0.5, "L and r must be positive and finite, got L = 1.4, r = nan"),
+        (1.4, 1.0, 1.5, "mu must lie in (0, 1), got 1.5"),
+        (math.inf, 1.0, 1.5, "mu must lie in (0, 1), got 1.5"),  # the probe set is built first
+    ],
+)
+def test_strong_search_refuses_what_validate_strong_refuses(L, r, mu, message):
+    with pytest.raises(ValueError) as search:
+        find_feasible_strong(L, r, [mu], [0.5], [0.3], [0.0])
+    with pytest.raises(ValueError) as validate:
+        validate_strong(strong_set(mu, 0.5, 0.3, 0.0, 0.5), L, r)
+    assert str(search.value) == str(validate.value) == message
 
 
 def reference_strong_floats(s, L, r):
