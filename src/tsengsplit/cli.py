@@ -29,6 +29,7 @@ or failed validation/certificate, 2 bad configuration, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import itertools
@@ -301,13 +302,14 @@ def _apply_cli_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _timed_solve(problem: Problem, solver_cfg: SolverConfig):
-    """``(x, trace, error, seconds)`` of one solve; a diverged solve gives
-    no ``x``, its :class:`DivergenceError` and the partial trace it holds."""
+def _timed_solve(problem: Problem, solver_cfg: SolverConfig, rows=None):
+    """``(x, trace, error, seconds)`` of one solve, its rows kept in ``rows``
+    as :func:`solve` keeps them; a diverged solve gives no ``x``, its
+    :class:`DivergenceError` and the partial trace it holds."""
     t0 = time.perf_counter()
     x = error = None
     try:
-        x, trace = solve(problem, solver_cfg)
+        x, trace = solve(problem, solver_cfg, rows)
     except DivergenceError as err:
         trace, error = err.trace, err
     return x, trace, error, time.perf_counter() - t0
@@ -353,9 +355,10 @@ def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
 def _sweep_row(problem: Problem, solver_cfg: SolverConfig, point: dict[str, float]) -> tuple:
     """The row ``(iterations, final_metric, elapsed_s, status)`` of one grid
     point, solved on ``problem``; a row holds no distance to the solution,
-    so none is recorded."""
+    so none is recorded, and reads no trace row but the last, so the trace
+    keeps only that one."""
     run_cfg = replace(solver_cfg, schedules=apply_sweep_point(solver_cfg.schedules, point), record_distance=False)
-    _, trace, _, elapsed = _timed_solve(problem, run_cfg)
+    _, trace, _, elapsed = _timed_solve(problem, run_cfg, collections.deque(maxlen=1))
     summary = trace.summary()
     return summary["iterations"], summary["final_metric"] if trace.rows else float("nan"), elapsed, summary["status"]
 

@@ -474,7 +474,8 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
     clauses.append(ClauseResult("c3", ok3, None if ok3 else 1, detail))
 
     q = contraction_factor(tau, a, b, th)
-    return StrongReport(tau=tau, lambda_hat=lam_hat, clauses=clauses, theta_interval=interval, q=q)
+    # min(mu/L, lambda1) is lambda1 itself, an int when given one
+    return StrongReport(tau=tau, lambda_hat=float(lam_hat), clauses=clauses, theta_interval=interval, q=q)
 
 
 def find_feasible_strong(

@@ -57,11 +57,12 @@ lives above it: the CLI's ``sweep`` solves grid points in separate
 processes, each calling :func:`solve` on its own copy of the instance.
 
 Each iteration records one tuple row under :data:`TRACE_COLUMNS`, the one
-place the trace schema is written down; the CSV/JSONL writers, the reader,
-the summary and the empirical convergence-rate certificates read rows
-through it.  The CSV and JSONL writers share one text per float: each
-row's ``lambda``, ``residual``, ``E_n`` and ``dist`` are formatted once
-per trace, and both files are rendered from those strings.  The
+place the trace schema is written down, in a list unless the caller gives
+another container; the CSV/JSONL writers, the reader, the summary and the
+empirical convergence-rate certificates read rows through it.  The CSV
+and JSONL writers share one text per float: each row's ``lambda``,
+``residual``, ``E_n`` and ``dist`` are formatted once per trace, and both
+files are rendered from those strings.  The
 certificates are a ``1/sqrt(n)`` envelope on the best fixed-point
 residual and a geometric-decay check on the distance to a known solution.
 """
@@ -72,6 +73,7 @@ import json
 import math
 import operator
 import time
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,7 +191,7 @@ class SolverTrace:
     equal; a large fraction signals a threshold-sensitive run.
     """
 
-    rows: list[tuple] = field(default_factory=list)
+    rows: MutableSequence[tuple] = field(default_factory=list)
     status: str = STATUS_BUDGET
     forward_evals: int = 0
     resolvent_evals: int = 0
@@ -199,7 +201,11 @@ class SolverTrace:
     _texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        """The rows appended: a list's length, or the last row's ``n`` in the
+        container :func:`solve` was given, which may have dropped the rows
+        before it (solve numbers rows ``1..n``)."""
+        rows = self.rows
+        return len(rows) if isinstance(rows, list) or not rows else rows[-1][0]
 
     def row(self, i: int) -> dict:
         """Row ``i`` under its :data:`TRACE_COLUMNS` names."""
@@ -214,13 +220,13 @@ class SolverTrace:
         last = self.row(-1) if self.rows else {}
         return {
             "status": self.status,
-            "iterations": len(self.rows),
+            "iterations": len(self),
             "final_metric": last.get("E_n"),
             "final_residual": last.get("residual"),
             "forward_evals": self.forward_evals,
             "resolvent_evals": self.resolvent_evals,
             "tie_breaks": self.tie_breaks,
-            "tie_break_fraction": self.tie_breaks / len(self.rows) if self.rows else 0.0,
+            "tie_break_fraction": self.tie_breaks / len(self) if self.rows else 0.0,
             "label": self.label,
         }
 
@@ -230,12 +236,17 @@ NONFINITE_OPERATOR = "non-finite operator value at iteration {n}"
 NONFINITE_ITERATE = "non-finite iterate or step size (next lambda {lam_next!r}) at iteration {n}"
 
 
-def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
+def solve(
+    problem: Problem, config: SolverConfig, rows: MutableSequence[tuple] | None = None
+) -> tuple[Vector, SolverTrace]:
     """Iterate from ``problem``'s initial points until the stop metric
     reaches ``tol``, an exact solution is found, or the iteration budget
     runs out.
 
-    Returns the final iterate and the full trace.  Deterministic: the same
+    Returns the final iterate and the trace, whose rows go into ``rows``,
+    an empty container: a new list, keeping every row, when not given.  A
+    bounded one, such as ``collections.deque(maxlen=1)``, keeps a trace's
+    memory flat in its iterations.  Deterministic: the same
     problem and config give bit-identical traces.
     Non-finite values raise :class:`DivergenceError` carrying the partial
     trace; numpy's overflow warnings are silenced because every value
@@ -263,8 +274,8 @@ def solve(problem: Problem, config: SolverConfig) -> tuple[Vector, SolverTrace]:
     isnan, inf = math.isnan, math.inf
     # the six vector products' coefficients, rewritten in place (module docstring)
     c_alpha, c_beta, c_lam, c_keep, c_theta = (np.zeros(()) for _ in range(5))
-    trace = SolverTrace(label=problem.label)
-    rows = trace.rows
+    rows = [] if rows is None else rows
+    trace = SolverTrace(rows, label=problem.label)
     step = x_curr - x_prev
     forward_evals = resolvent_evals = tie_breaks = 0
     status = STATUS_BUDGET

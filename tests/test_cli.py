@@ -6,7 +6,9 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +559,37 @@ def test_sweep_diverged_point_reports_last_row(tmp_path):
     assert last[1] == "50.0" and last[3] == "diverged"
     assert int(last[2]) > 1 and math.isfinite(float(last[4]))
     assert json.loads((out / "sweep_trends.json").read_text())["alpha"]["diverged"] == 1
+
+
+@pytest.mark.parametrize(
+    "point, status",
+    [({"theta": 0.5}, "tolerance_met"), ({"theta": 0.001}, "max_iters"), ({"alpha": 50.0}, "diverged")],
+    ids=["converged", "budget", "diverged"],
+)
+def test_a_sweep_row_reads_what_the_summary_of_a_full_trace_reads(point, status, tmp_path):
+    cfg = cli.load_config(orthant_config(tmp_path))  # alpha = 50 is contract case diverging's set
+    problem = cli.build_problem(cfg)
+    iterations, metric, _, got = cli._sweep_row(problem, cfg.solver, point)
+    run_cfg = replace(cfg.solver, schedules=cli.apply_sweep_point(cfg.solver.schedules, point))
+    summary = cli._timed_solve(problem, run_cfg)[1].summary()
+    assert (iterations, metric, got) == (summary["iterations"], summary["final_metric"], summary["status"])
+    assert got == status
+
+
+def test_a_sweep_point_holds_memory_flat_in_its_iterations(tmp_path):
+    cfg = cli.load_config(orthant_config(tmp_path))
+    problem = cli.build_problem(cfg)
+    peaks = []
+    for budget in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            row = cli._sweep_row(problem, replace(cfg.solver, max_iters=budget), {"theta": 0.001})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (row[0], row[3]) == (budget, "max_iters")
+    # a trace that kept every row would grow by 18,000 rows of about 223 B: 3.8 MiB
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 # --- sweeps on several CPUs --------------------------------------------------

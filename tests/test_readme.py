@@ -1,7 +1,11 @@
-"""The README's library examples run as written."""
+"""The README's library examples and CLI lines run as written."""
 
 import re
+import shlex
+import shutil
 from pathlib import Path
+
+from tsengsplit.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,21 @@ def test_readme_python_blocks_run(capsys):
     # the quickstart's solve, its two verdicts, the custom operator's L, then the strong-regime example
     assert lines[0].startswith("tolerance_met ")
     assert lines[1:] == ["True", "True", "3.0", "tolerance_met"]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    """Each ``tsengsplit`` line of a bash block, the install block's aside, in
+    order and in a directory holding ``configs/``, exits 0."""
+    blocks = re.findall(r"^```bash\n(.*?)^```$", README.read_text(), re.M | re.S)
+    lines = [
+        line
+        for block in blocks
+        if "pip install" not in block
+        for line in block.splitlines()
+        if line.startswith("tsengsplit ")
+    ]
+    assert len(lines) == 6
+    shutil.copytree(README.parent / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

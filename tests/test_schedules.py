@@ -101,6 +101,13 @@ def test_sequence_rejects_non_finite_parameters(bad):
             rational(*params)
 
 
+def test_rational_refuses_c_at_minus_one():
+    # c + n > 0 for all n >= 1 draws its line at c = -1, where the first term divides by zero
+    with pytest.raises(ValueError, match="c \\+ n > 0"):
+        rational(0.0, 1.0, -1.0)
+    rational(0.0, 1.0, math.nextafter(-1.0, 0.0))
+
+
 def test_sequence_rejects_overflowing_first_term():
     # finite parameters, but b/(c + 1) = 1e310 is not a float
     with pytest.raises(ValueError, match="overflows"):
@@ -112,6 +119,12 @@ def test_sequence_rejects_overflowing_first_term():
 def test_schedule_set_rejects_non_finite_scalars(field, bad):
     with pytest.raises(ValueError, match=field):
         replace(preset("paper_default"), **{field: bad})
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_schedule_set_refuses_mu_at_either_end(mu):
+    with pytest.raises(ValueError, match=f"mu must lie in \\(0, 1\\), got {mu}"):
+        replace(preset("paper_default"), mu=mu)
 
 
 NEGATIVE_SOMEWHERE = {
@@ -406,6 +419,8 @@ def test_strong_zero_inertia_is_infeasible():
     rep = validate_strong(strong_set(mu=0.45, lambda1=0.5, alpha=0.0, beta=0.0, theta=0.9), L=1.5, r=1.0)
     assert rep.theta_interval is None
     assert not rep.passed
+    # zero inertia is inside the c1 and c2 ranges: only c3 fails
+    assert rep.clause("c1").passed and rep.clause("c2").passed
 
 
 def test_strong_tau_near_one_kills_beta():
@@ -555,6 +570,12 @@ def test_strong_interval_always_inside_unit_when_nonempty():
         assert (rep.theta_interval is None) == (interval is None)
         if interval is not None:
             assert [x.hex() for x in rep.theta_interval] == [x.hex() for x in interval]
+
+
+def test_strong_report_lambda_hat_is_a_float_for_an_integer_lambda1():
+    # mu/L = 5 exceeds lambda1, so lambda_hat is lambda1 as given
+    rep = validate_strong(strong_set(mu=0.5, lambda1=1, alpha=0.3, beta=0.0, theta=0.5), L=0.1, r=0.05)
+    assert type(rep.to_dict()["lambda_hat"]) is float and rep.lambda_hat == 1.0
 
 
 def test_strong_report_serializes():

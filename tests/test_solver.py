@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import threading
@@ -220,6 +221,17 @@ def test_solve_budget_exhaustion():
     assert [r[0] for r in trace.rows] == list(range(1, 11))
 
 
+def test_solve_stops_at_the_row_whose_metric_equals_tol():
+    prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
+    cfg = SolverConfig(schedules=preset("paper_default"), max_iters=200, tol=1e-30)
+    _, full = solve(prob, cfg)
+    e_n = full.column("E_n")
+    k = int(np.argmin(e_n[:57]))  # no earlier row reads at most e_n[k]
+    assert 0 < k < 199
+    _, cut = solve(prob, replace(cfg, tol=float(e_n[k])))
+    assert (cut.status, len(cut)) == ("tolerance_met", k + 1)
+
+
 def test_plain_preset_reaches_same_solution():
     prob = oracle_orthant_vi(np.array([-1.0, 1.0]))
     cfg = SolverConfig(schedules=preset("tseng_plain"), max_iters=10_000, tol=1e-12, record_distance=True)
@@ -347,6 +359,46 @@ def test_tie_branch_counted_and_grows_step():
     assert np.allclose(lams[1:], sched.lambda1 + partial)
 
 
+# a run, and the status it ends with: on its budget, on tie breaks at every row, and diverged
+BOUNDED_RUNS = {
+    "budget": (
+        oracle_orthant_vi(np.array([-1.0, 1.0])),
+        SolverConfig(preset("paper_default"), max_iters=50, tol=1e-30),
+        "max_iters",
+    ),
+    "ties": (
+        Problem(forward=ForwardOperator(fn=np.ones_like), backward=identity_resolvent(), dimension=2),
+        SolverConfig(flat_schedule(lambda1=0.1, p=inverse_square()), max_iters=8, tol=1e-30),
+        "max_iters",
+    ),
+    "diverged": (
+        Problem(
+            forward=ForwardOperator(fn=lambda x: -2.0 * x), backward=identity_resolvent(), dimension=2, x1=np.ones(2)
+        ),
+        SolverConfig(flat_schedule(theta=1.0, lambda1=0.5), max_iters=3000, tol=1e-30),
+        "diverged",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(BOUNDED_RUNS))
+def test_a_trace_that_keeps_its_last_row_counts_every_row(run):
+    problem, config, status = BOUNDED_RUNS[run]
+
+    def trace_of(*rows):
+        try:
+            return solve(problem, config, *rows)[1]
+        except DivergenceError as err:
+            return err.trace
+
+    full, last = trace_of(), trace_of(collections.deque(maxlen=1))
+    assert (full.status, full.tie_breaks > 0) == (status, run == "ties")
+    # the same last row, but for its wall time
+    assert len(full.rows) > 1 and list(last.rows) == [full.rows[-1][:5] + last.rows[-1][5:]]
+    assert len(last) == len(full) == full.rows[-1][0]
+    assert last.summary() == full.summary()  # iterations, tie_break_fraction and the last row's values
+
+
 def test_problem_rejects_wrong_known_solution():
     with pytest.raises(ValueError):
         Problem(
@@ -354,6 +406,16 @@ def test_problem_rejects_wrong_known_solution():
             backward=Resolvent(fn=lambda x, lam: np.maximum(x, 0.0)),
             dimension=2,
             known_solution=np.array([5.0, 5.0]),
+        )
+
+
+def test_problem_refuses_a_zero_weight():
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        Problem(
+            forward=ForwardOperator(fn=lambda x: x),
+            backward=orthant_resolvent(),
+            dimension=2,
+            weights=np.array([1.0, 0.0]),
         )
 
 
@@ -428,8 +490,9 @@ def test_sqrt_certificate_constant_residual_fails():
 
 
 def test_sqrt_certificate_needs_enough_rows():
-    with pytest.raises(ValueError):
-        certify_sqrt_rate(synthetic_trace(np.ones(30)))
+    with pytest.raises(ValueError, match="49 rows < 50"):
+        certify_sqrt_rate(synthetic_trace(np.ones(49)))
+    assert certify_sqrt_rate(synthetic_trace(np.ones(50))).details["rows"] == 50
 
 
 def test_sqrt_certificate_on_real_run():
