@@ -185,6 +185,8 @@ class ScheduleSet:
             raise ValueError(f"theta_floor must be positive and finite, got {self.theta_floor}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        for name in ("mu", "lambda1", "epsilon", "theta_floor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # the step rule needs mu_n, p_n >= 0 for all n >= 1
         for name in ("mu_seq", "p_seq"):
             seq = getattr(self, name)
@@ -474,8 +476,7 @@ def validate_strong(s: ScheduleSet, L: float, r: float) -> StrongReport:
     clauses.append(ClauseResult("c3", ok3, None if ok3 else 1, detail))
 
     q = contraction_factor(tau, a, b, th)
-    # min(mu/L, lambda1) is lambda1 itself, an int when given one
-    return StrongReport(tau=tau, lambda_hat=float(lam_hat), clauses=clauses, theta_interval=interval, q=q)
+    return StrongReport(tau=tau, lambda_hat=lam_hat, clauses=clauses, theta_interval=interval, q=q)
 
 
 def find_feasible_strong(

@@ -207,7 +207,7 @@ NON_FINITE_PARAMS = {
     ]
 }
 
-# the cases of tests of their own
+# single cases: three refusals, a budget run out, and validate passing and failing
 OTHERS = {
     "not_json": refused("{not json", "config is not valid JSON", base=None),
     "unknown_family": refused({"problem": {"family": "qp"}, "seed": 1}, "problem.family must be one of", base=None),

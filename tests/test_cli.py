@@ -14,21 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contract_cases import (
-    BAD_FLAGS,
-    BASES,
-    CASES,
-    CONFIGS,
-    EXITS,
-    MALFORMED,
-    MISSPELLED,
-    NESTED,
-    NON_FINITE_PARAMS,
-    ORTHANT,
-    UNUSABLE_SCHEDULES,
-    edited,
-    materialize,
-)
+from contract_cases import BASES, CASES, CONFIGS, EXITS, MALFORMED, ORTHANT, edited, materialize
 from tsengsplit import ForwardOperator, Problem, cli, orthant_resolvent, rational
 from tsengsplit.cli import main
 from tsengsplit.solver import read_trace_csv
@@ -64,13 +50,6 @@ def test_solve_writes_artifacts_and_converges(tmp_path):
     validation = json.loads((out / "validation.json").read_text())
     assert validation["c3"]["passed"] is True
     assert (out / "trace.jsonl").exists()
-
-
-def test_solve_replay_is_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--config", AFFINE, "--out", str(out1), "--quiet"]) == 0
-    assert main(["solve", "--config", AFFINE, "--out", str(out2), "--quiet"]) == 0
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
 def test_seed_override_changes_instance(tmp_path):
@@ -374,39 +353,29 @@ def check_case(case, tmp_path, capsys):
         assert not any((tmp_path / case).rglob("*")), "an output was written"
 
 
-def contract_test(cases, ids=None):
-    """A test of each of ``cases`` by :func:`check_case`."""
-
-    @pytest.mark.parametrize("case", cases, ids=ids)
-    def test(case, tmp_path, capsys):
-        check_case(case, tmp_path, capsys)
-
-    return test
+# the two largest sections keep the test names their 56 case ids have always run under
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(case, tmp_path, capsys):
+    check_case(case, tmp_path, capsys)
 
 
-def each_case(*cases):
-    """One test of all of ``cases`` by :func:`check_case`."""
-
-    def test(tmp_path, capsys):
-        for case in cases:
-            check_case(case, tmp_path, capsys)
-
-    return test
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_config_exits_as_documented(case, tmp_path, capsys):
+    check_case(case, tmp_path, capsys)
 
 
-# each section runs under a test name of its own, which keeps the ids of its cases stable
-test_malformed_config_exits_2_without_traceback = contract_test(sorted(MALFORMED))
-test_unknown_config_key_exits_2 = contract_test(sorted(MISSPELLED))
-test_unusable_schedule_exits_2_before_any_output = contract_test(sorted(UNUSABLE_SCHEDULES))
-test_bad_flag_value_exits_2 = contract_test(list(BAD_FLAGS), ids=[f"flags{i}" for i in range(len(BAD_FLAGS))])
-test_deeply_nested_config_exits_2 = contract_test(list(NESTED), ids=["solve", "sweep", "validate"])
-test_infinite_problem_param_exits_2 = each_case(*NON_FINITE_PARAMS)
-test_solve_malformed_config = each_case("not_json")
-test_solve_unknown_family = each_case("unknown_family")
-test_preset_name_must_be_a_string = each_case("preset_not_string")
-test_solve_budget_exhausted_exit = each_case("budget_exhausted")
-test_validate_pass_and_fail = each_case("validate_passes", "theta_falls")
-test_config_exits_as_documented = contract_test(sorted(EXITS))
+@pytest.mark.parametrize("case", sorted(CASES.keys() - MALFORMED.keys() - EXITS.keys()))
+def test_contract_case(case, tmp_path, capsys):
+    check_case(case, tmp_path, capsys)
+
+
+def test_contract_script_prints_each_case_as_the_ci_loop_reads_it(tmp_path):
+    # CI runs `tsengsplit $argv` for each `<exit> <argv...>` line, so no argument may hold a space
+    script = Path(__file__).with_name("contract_cases.py")
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, check=True)
+    lines = [line.split(" ") for line in out.stdout.splitlines()]
+    assert [line[0] for line in lines] == [str(code) for *_, code, _fragment in CASES.values()]
+    assert [line[1:] for line in lines] == [materialize(case, tmp_path) for case in CASES]
 
 
 def test_every_shipped_config_loads():

@@ -127,6 +127,14 @@ def test_schedule_set_refuses_mu_at_either_end(mu):
         replace(preset("paper_default"), mu=mu)
 
 
+def test_schedule_set_holds_its_scalars_as_floats():
+    s = ScheduleSet(theta=constant(0.5), mu=0.5, lambda1=1, epsilon=2, theta_floor=1)
+    assert [type(getattr(s, name)) for name in ("mu", "lambda1", "epsilon", "theta_floor")] == [float] * 4
+    # the range checks come first: a string is refused, not converted
+    with pytest.raises(TypeError):
+        ScheduleSet(theta=constant(0.5), mu="0.5", lambda1=1)
+
+
 NEGATIVE_SOMEWHERE = {
     "constant": constant(-0.1),
     "negative_limit": rational(-0.1, 1.0, 0.0),  # 0.4 at n = 1, tends to -0.1
